@@ -50,32 +50,45 @@ class AttackSpec:
                 f"alpha={self.alpha:g} T={self.iterations} init={self.random_init}")
 
 
+def default_alpha(epsilon: float, iterations: int) -> float:
+    """Step size when none is given: the full budget for one step, else eps/5."""
+    return epsilon if iterations == 1 else epsilon / 5
+
+
+def _alpha_or_default(alpha: float | None, epsilon: float, iterations: int) -> float:
+    return default_alpha(epsilon, iterations) if alpha is None else alpha
+
+
 def fgsm_spec(epsilon: float) -> AttackSpec:
     """One full-budget CE step, deterministic start."""
-    return AttackSpec(LossWeights(1, 0, 0), epsilon, alpha=epsilon,
+    return AttackSpec(LossWeights(1, 0, 0), epsilon, alpha=default_alpha(epsilon, 1),
                       iterations=1, random_init=False)
 
 
 def pgd_spec(epsilon: float, iterations: int = 10, alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(LossWeights(1, 0, 0), epsilon, alpha=alpha or epsilon / 5,
+    return AttackSpec(LossWeights(1, 0, 0), epsilon,
+                      alpha=_alpha_or_default(alpha, epsilon, iterations),
                       iterations=iterations, random_init=True)
 
 
 def cw_spec(epsilon: float, iterations: int = 10, margin: float = 50.0,
             alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(LossWeights(0, 0, 1), epsilon, alpha=alpha or epsilon / 5,
+    return AttackSpec(LossWeights(0, 0, 1), epsilon,
+                      alpha=_alpha_or_default(alpha, epsilon, iterations),
                       iterations=iterations, random_init=True, margin=margin)
 
 
 def fs_spec(epsilon: float, iterations: int = 10, alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(LossWeights(0, 1, 0), epsilon, alpha=alpha or epsilon / 5,
+    return AttackSpec(LossWeights(0, 1, 0), epsilon,
+                      alpha=_alpha_or_default(alpha, epsilon, iterations),
                       iterations=iterations, random_init=True)
 
 
 def hybrid_spec(epsilon: float, iterations: int = 10, margin: float = 50.0,
                 weights: LossWeights = LossWeights(1, 1, 1),
                 alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(weights, epsilon, alpha=alpha or epsilon / 5,
+    return AttackSpec(weights, epsilon,
+                      alpha=_alpha_or_default(alpha, epsilon, iterations),
                       iterations=iterations, random_init=True, margin=margin)
 
 
@@ -191,9 +204,6 @@ def model_forward_fn(params, param_values=None) -> ForwardFn:
 
 
 def spec_with_epsilon(spec: AttackSpec, epsilon: float, rescale_alpha: bool = True) -> AttackSpec:
-    """Copy a spec at a different budget, keeping alpha = eps/5 for multi-step."""
-    if rescale_alpha:
-        alpha = epsilon if spec.iterations == 1 else epsilon / 5
-    else:
-        alpha = spec.alpha
+    """Copy a spec at a different budget, with ``default_alpha`` unless told to keep alpha."""
+    alpha = default_alpha(epsilon, spec.iterations) if rescale_alpha else spec.alpha
     return replace(spec, epsilon=epsilon, alpha=alpha)

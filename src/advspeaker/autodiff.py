@@ -282,27 +282,40 @@ def gather_rows(a, indices) -> Value:
     return _node(a.data[rows, idx], (a,), "gather_rows", bw)
 
 
+def frames_view(x: np.ndarray, window_length: int, hop_length: int) -> np.ndarray:
+    """Read-only strided view of (n, T) signals as frames (n, F, window_length)."""
+    return np.lib.stride_tricks.sliding_window_view(x, window_length, axis=1)[:, ::hop_length]
+
+
+def overlap_add(frames: np.ndarray, length: int, hop_length: int) -> np.ndarray:
+    """Adjoint of ``frames_view``: sum (n, F, W) frames back onto (n, length) signals.
+
+    Window offsets [k*hop, (k+1)*hop) of every frame land on distinct samples,
+    so each of the ceil(W/hop) strided adds is collision-free. Adding the
+    offsets in increasing order sums every sample's terms in the same order
+    as a per-offset loop would.
+    """
+    n, _, window_length = frames.shape
+    out = np.zeros((n, length))
+    view = np.lib.stride_tricks.sliding_window_view(
+        out, window_length, axis=1, writeable=True)[:, ::hop_length]
+    for start in range(0, window_length, hop_length):
+        view[:, :, start:start + hop_length] += frames[:, :, start:start + hop_length]
+    return out
+
+
 def frame_signal(x, window_length: int, hop_length: int) -> Value:
     """Slice (n, T) signals into overlapping frames (n, F, window_length)."""
     x = as_value(x)
     if x.ndim != 2:
         raise ShapeError("frame_signal", f"expected (n, T), got {x.shape}")
-    n, t = x.shape
-    if t < window_length:
-        raise ShapeError("frame_signal", f"signal length {t} < window {window_length}")
-    n_frames = (t - window_length) // hop_length + 1
-    idx = hop_length * np.arange(n_frames)[:, None] + np.arange(window_length)[None, :]
-    data = x.data[:, idx]
+    if x.shape[1] < window_length:
+        raise ShapeError("frame_signal", f"signal length {x.shape[1]} < window {window_length}")
 
     def bw(out: Value):
-        g = np.zeros_like(x.data)
-        # column i of every frame lands on stride-separated samples, so each
-        # slice-add below is collision-free
-        for i in range(window_length):
-            g[:, i:i + hop_length * n_frames:hop_length] += out.grad[:, :, i]
-        _accum(x, g)
+        _accum(x, overlap_add(out.grad, x.shape[1], hop_length))
 
-    return _node(data, (x,), "frame_signal", bw)
+    return _node(frames_view(x.data, window_length, hop_length).copy(), (x,), "frame_signal", bw)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .attacks import AttackSpec
+from .attacks import AttackSpec, default_alpha
 from .data import SynthConfig
 from .frontend import FrontendConfig
 from .losses import LossWeights, SinkhornSettings
@@ -179,7 +179,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     model = _dataclass_from(SpeakerCNNConfig, model_raw, "model")
     weights = LossWeights(attack_raw.pop("beta", 1.0), attack_raw.pop("gamma", 1.0),
                           attack_raw.pop("zeta", 1.0))
-    attack_defaults = dict(epsilon=0.002, alpha=0.002 / 5, iterations=10,
+    attack_defaults = dict(epsilon=0.002, alpha=default_alpha(0.002, 10), iterations=10,
                            random_init=True, margin=50.0)
     attack_defaults.update(attack_raw)
     attack = _dataclass_from(AttackSpec, dict(weights=weights, **attack_defaults), "train.attack")
@@ -330,7 +330,7 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
 
 def desk_preset(defense: str) -> ExperimentConfig:
     """Desk-scale synthetic-corpus preset for one defense kind."""
-    attack = AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=0.002 / 5,
+    attack = AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=default_alpha(0.002, 10),
                         iterations=10, random_init=True, margin=50.0)
     train = TrainConfig(epochs=30, batch_size=32, lr_schedule=PAPER_LR_SCHEDULE,
                         momentum=0.9, w1=1.0, w2=1.0, defense=defense,
@@ -349,7 +349,7 @@ def desk_preset(defense: str) -> ExperimentConfig:
 
 def full_scale_preset() -> ExperimentConfig:
     """Full-scale settings (251 speakers, 200 epochs); documented, not run in CI."""
-    attack = AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=0.002 / 5,
+    attack = AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=default_alpha(0.002, 10),
                         iterations=10, random_init=True, margin=50.0)
     train = TrainConfig(epochs=200, batch_size=32, lr_schedule=PAPER_LR_SCHEDULE,
                         momentum=0.9, w1=1.0, w2=1.0, defense="hat", attack=attack,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import (AttackSpec, cw_spec, fgsm_spec, generate,
+from .attacks import (AttackSpec, cw_spec, default_alpha, fgsm_spec, generate,
                       model_forward_fn, pgd_spec, spec_with_epsilon)
 from .data import Corpus, batch_iter
 from .losses import LossWeights, SinkhornSettings
@@ -160,7 +160,7 @@ def transfer_eval(source: ModelParams, target: ModelParams, corpus: Corpus,
 
 def epsilon_sweep(target: ModelParams, corpus: Corpus, epsilons,
                   template: AttackSpec, **kwargs) -> list[tuple[float, float]]:
-    """Accuracy per budget; alpha is rescaled to eps/5 (eps for one-step) per point."""
+    """Accuracy per budget; alpha is reset to ``default_alpha`` at every point."""
     curve = []
     for eps in epsilons:
         if eps == 0:
@@ -174,12 +174,11 @@ def epsilon_sweep(target: ModelParams, corpus: Corpus, epsilons,
 
 def iteration_sweep(target: ModelParams, corpus: Corpus, counts,
                     template: AttackSpec, **kwargs) -> list[tuple[int, float]]:
-    """Accuracy per iteration count; T=1 uses the one-full-step size alpha=eps."""
+    """Accuracy per iteration count; alpha is ``default_alpha`` at every count."""
     curve = []
     for t in counts:
         t = int(t)
-        alpha = template.epsilon if t == 1 else template.epsilon / 5
-        spec = replace(template, iterations=t, alpha=alpha)
+        spec = replace(template, iterations=t, alpha=default_alpha(template.epsilon, t))
         acc, _ = accuracy_under_attack(target, corpus, spec, **kwargs)
         curve.append((t, acc))
     return curve

@@ -1,9 +1,10 @@
 """Differentiable log-Mel spectrogram front-end.
 
 The whole pipeline (framing, Hann window, DFT as an explicit matrix
-multiply, triangular mel filterbank, floored log) is expressed through
-autodiff primitives, so gradients flow from the features back to the raw
-waveform. That is what lets attacks operate directly in the time domain.
+multiply, triangular mel filterbank, floored log) is one fused primitive
+with a hand-written adjoint, so gradients flow from the features back to
+the raw waveform. That is what lets attacks operate directly in the time
+domain.
 """
 
 from __future__ import annotations
@@ -86,22 +87,47 @@ class FrontendOps:
 
 
 def log_mel(waveform, ops: FrontendOps) -> Value:
-    """(n, T) waveforms -> (n, mel_bins, frames) floored log mel energies."""
+    """(n, T) or (T,) waveforms -> (n, mel_bins, frames) floored log mel energies.
+
+    One graph node with a hand-written adjoint. Forward and backward run
+    the same array operations, in the same order, as the equivalent chain
+    of autodiff primitives (frame, window, two DFT matmuls, power,
+    filterbank, floor, log), so values and gradients match that chain bit
+    for bit.
+    """
     cfg = ops.config
     x = ad.as_value(waveform)
-    if x.ndim == 1:
-        x = ad.reshape(x, (1, x.shape[0]))
-    if x.ndim != 2:
+    if x.ndim not in (1, 2):
         raise ad.ShapeError("log_mel", f"expected (n, T) waveform, got {x.shape}")
-    n, t = x.shape
-    frames = ad.frame_signal(x, cfg.window_length, cfg.hop_length)
+    signal = x.data.reshape(1, -1) if x.ndim == 1 else x.data
+    n, t = signal.shape
+    if t < cfg.window_length:
+        raise ad.ShapeError("log_mel", f"signal length {t} < window {cfg.window_length}")
+    frames = ad.frames_view(signal, cfg.window_length, cfg.hop_length) * ops.window
     n_frames = frames.shape[1]
-    frames = frames * Value(ops.window)
-    flat = ad.reshape(frames, (n * n_frames, cfg.window_length))
-    re = ad.matmul(flat, Value(ops.dft_cos))
-    im = ad.matmul(flat, Value(ops.dft_sin))
-    power = re * re + im * im
-    mel = ad.matmul(power, Value(ops._fb_t))
-    out = ad.log(ad.clamp(mel, lo=cfg.log_floor))
-    out = ad.reshape(out, (n, n_frames, cfg.mel_bins))
-    return ad.permute(out, (0, 2, 1))
+    flat = frames.reshape(n * n_frames, cfg.window_length)
+    re = flat @ ops.dft_cos
+    im = flat @ ops.dft_sin
+    power = re * re
+    power += im * im
+    mel = power @ ops._fb_t
+    clamped = np.clip(mel, cfg.log_floor, None)
+    keep = mel > cfg.log_floor
+    data = np.log(clamped).reshape(n, n_frames, cfg.mel_bins).transpose(0, 2, 1)
+
+    def bw(out: Value):
+        # the chain's zero-initialised accumulators only flip -0.0 to +0.0,
+        # which the zero-initialised overlap-add does as well, so they are
+        # left out; every other step repeats the chain's arithmetic
+        g = out.grad.transpose(0, 2, 1).reshape(n * n_frames, cfg.mel_bins)
+        g_power = ((g / clamped) * keep) @ ops._fb_t.T
+        g_re = g_power * re
+        g_re += g_re
+        g_im = np.multiply(g_power, im, out=g_power)
+        g_im += g_im
+        g_frames = (g_re @ ops.dft_cos.T).reshape(n, n_frames, cfg.window_length)
+        g_frames += (g_im @ ops.dft_sin.T).reshape(n, n_frames, cfg.window_length)
+        g_frames *= ops.window
+        ad._accum(x, ad.overlap_add(g_frames, t, cfg.hop_length).reshape(x.shape))
+
+    return ad._node(data, (x,), "log_mel", bw)

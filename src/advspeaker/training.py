@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import AttackSpec, LossWeights, generate, model_forward_fn
+from .attacks import AttackSpec, LossWeights, default_alpha, generate, model_forward_fn
 from .autodiff import NonFiniteError, Value
 from .data import Corpus, batch_iter
 from .losses import SinkhornSettings, ce_loss
@@ -29,7 +29,7 @@ PAPER_LR_SCHEDULE = ((60, 0.1), (90, 0.01), (200, 0.001))
 
 
 def default_train_attack() -> AttackSpec:
-    return AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=0.002 / 5,
+    return AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=default_alpha(0.002, 10),
                       iterations=10, random_init=True, margin=50.0)
 
 
@@ -77,7 +77,7 @@ def attack_spec_for_defense(defense: str, base: AttackSpec) -> AttackSpec | None
         return None
     if defense == "fgsm_at":
         return replace(base, weights=LossWeights(1, 0, 0), iterations=1,
-                       alpha=base.epsilon, random_init=False)
+                       alpha=default_alpha(base.epsilon, 1), random_init=False)
     if defense == "pgd_at":
         return replace(base, weights=LossWeights(1, 0, 0))
     if defense == "fs_at":

@@ -4,6 +4,7 @@ and the acceptance gate)."""
 import numpy as np
 
 from advspeaker import autodiff as ad
+from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel
 
 
 def rng_for(seed):
@@ -187,3 +188,24 @@ def _case_cosine(rng):
     return lambda x: ad.cosine_similarity(x, other, axis=1).sum(), rng.normal(size=(3, 4)) + 0.5
 
 
+# hop 4 does not divide window 9, fft_size 11 is odd and longer than the
+# window; row 1 of the 2-D input is scaled down until every mel energy in
+# it sits on the floor (its frames are not zero, so a missing floor mask
+# would show), and a second term feeds the same samples as one 1-D signal.
+# The floor is high (1e-2) because near-silent frames, where log curves
+# sharply, would push central differences past the 1e-6 bound.
+_LOG_MEL_OPS = FrontendOps(FrontendConfig(sample_rate=800, window_length=9, hop_length=4,
+                                          fft_size=11, mel_bins=3, log_floor=1e-2))
+
+
+@_register("log_mel")
+def _case_log_mel(rng):
+    row_scale = ad.Value([[1.0], [1e-3]])
+    w2d = ad.Value(rng.normal(size=(2, 3, 4)))
+    w1d = ad.Value(rng.normal(size=(1, 3, 10)))
+
+    def loss(x):
+        floored = (log_mel(x * row_scale, _LOG_MEL_OPS) * w2d).sum()
+        return floored + (log_mel(ad.reshape(x, (48,)), _LOG_MEL_OPS) * w1d).sum()
+
+    return loss, rng.normal(size=(2, 24))

@@ -221,3 +221,16 @@ def test_spec_with_epsilon_rescales_alpha():
     assert wider.epsilon == 0.01 and wider.alpha == 0.002
     one_step = atk.spec_with_epsilon(atk.fgsm_spec(0.002), 0.01)
     assert one_step.alpha == 0.01
+
+
+def test_default_alpha_is_full_budget_for_one_step_else_a_fifth():
+    assert atk.default_alpha(0.002, 1) == 0.002
+    assert atk.default_alpha(0.002, 10) == 0.002 / 5
+    assert atk.pgd_spec(0.002, iterations=1).alpha == 0.002
+    assert atk.hybrid_spec(0.002).alpha == 0.002 / 5
+    assert atk.cw_spec(0.002, alpha=0.001).alpha == 0.001
+
+
+def test_explicit_zero_alpha_is_rejected_not_defaulted():
+    with pytest.raises(ValueError, match="alpha"):
+        atk.pgd_spec(0.002, alpha=0.0)

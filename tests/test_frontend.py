@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from advspeaker import autodiff as ad
 from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel, mel_filterbank
+from log_mel_chain import log_mel_chain
 
 MICRO = FrontendConfig(sample_rate=1600, window_length=32, hop_length=16,
                        fft_size=32, mel_bins=6, log_floor=1e-6)
+DESK = FrontendConfig(sample_rate=16000, window_length=256, hop_length=128,
+                      fft_size=256, mel_bins=32, log_floor=1e-6)
 
 
 def test_config_invariants():
@@ -95,3 +98,56 @@ def test_deterministic():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 96))
     assert np.array_equal(log_mel(x, ops).data, log_mel(x, ops).data)
+
+
+def _features_and_gradient(fn, x, ops, weights):
+    xv = ad.Value(x, requires_grad=True)
+    out = fn(xv, ops)
+    ad.backward((out * ad.Value(weights)).sum())
+    return out.data, xv.grad
+
+
+@pytest.mark.parametrize("config, shape", [
+    (DESK, (32, 8000)),
+    (FrontendConfig(), (32, 8000)),
+    (FrontendConfig(), (2, 48000)),
+    (MICRO, (2, 112)),
+    (MICRO, (97,)),
+    (FrontendConfig(fft_size=511, hop_length=150), (4, 8000)),
+], ids=["desk", "default", "paper-length", "micro", "micro-1d", "fft511-hop150"])
+def test_fused_log_mel_is_bit_identical_to_the_primitive_chain(config, shape):
+    ops = FrontendOps(config)
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-0.1, 0.1, size=shape)
+    if x.ndim == 2:
+        # every mel energy of row 0 is floored: zero frames in its first
+        # half, frames of tiny impulses (so a missing floor mask shows) after
+        x[0] = 0.0
+        x[0, shape[1] // 2::7] = 1e-6
+    weights = rng.normal(size=log_mel(x, ops).shape)
+    fused, fused_grad = _features_and_gradient(log_mel, x, ops, weights)
+    chain, chain_grad = _features_and_gradient(log_mel_chain, x, ops, weights)
+    assert fused.shape == chain.shape and fused.strides == chain.strides
+    # byte equality also tells -0.0 from 0.0, which np.array_equal does not
+    assert fused.tobytes() == chain.tobytes()
+    assert fused_grad.shape == chain_grad.shape == x.shape
+    assert fused_grad.tobytes() == chain_grad.tobytes()
+
+
+def test_log_mel_is_one_graph_node():
+    out = log_mel(ad.Value(np.zeros((1, 96)), requires_grad=True), FrontendOps(MICRO))
+    assert out._op == "log_mel" and len(out._parents) == 1
+
+
+def test_frame_signal_backward_is_overlap_add():
+    rng = np.random.default_rng(9)
+    x = ad.Value(rng.normal(size=(3, 50)), requires_grad=True)
+    frames = ad.frame_signal(x, 9, 4)
+    upstream = rng.normal(size=frames.shape)
+    ad.backward((frames * ad.Value(upstream)).sum())
+    expected = np.zeros((3, 50))
+    for i in range(9):
+        expected[:, i:i + 4 * frames.shape[1]:4] += upstream[:, :, i]
+    assert frames.shape == (3, 11, 9)
+    assert np.array_equal(frames.data[:, 2], x.data[:, 8:17])
+    assert x.grad.tobytes() == expected.tobytes()
