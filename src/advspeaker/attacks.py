@@ -11,6 +11,7 @@ is projected back onto the epsilon-ball and the valid waveform range
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,30 +25,34 @@ WAVE_MIN, WAVE_MAX = -1.0, 1.0
 # ForwardFn(x_value, mode) -> logits Value; mode is "train"/"attack"/"eval"
 ForwardFn = Callable[[Value, str], Value]
 
+REFERENCE_EPSILON = 0.002  # the paper's l-inf budget
+DEFAULT_ITERATIONS = 10
+DEFAULT_MARGIN = 50.0
+
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Loss weights plus budget; determines every attack in the family."""
+    """Loss weights plus budget; determines every attack in the family.
+
+    ``alpha=None`` resolves to ``default_alpha(epsilon, iterations)``.
+    """
 
     weights: LossWeights
     epsilon: float
-    alpha: float
+    alpha: float | None
     iterations: int
     random_init: bool
-    margin: float = 50.0
+    margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-
-    def describe(self) -> str:
-        b, g, z = self.weights.as_tuple()
-        return (f"weights=({b:g},{g:g},{z:g}) eps={self.epsilon:g} "
-                f"alpha={self.alpha:g} T={self.iterations} init={self.random_init}")
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", default_alpha(self.epsilon, self.iterations))
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
 
 def default_alpha(epsilon: float, iterations: int) -> float:
@@ -55,50 +60,62 @@ def default_alpha(epsilon: float, iterations: int) -> float:
     return epsilon if iterations == 1 else epsilon / 5
 
 
-def _alpha_or_default(alpha: float | None, epsilon: float, iterations: int) -> float:
-    return default_alpha(epsilon, iterations) if alpha is None else alpha
+@dataclass(frozen=True)
+class Attack:
+    """A named attack: its loss weights, and whether it is one step.
+
+    A one-step attack (FGSM) takes a single full-budget step from the clean
+    input; every other attack takes T steps from a random start.
+    """
+
+    weights: LossWeights
+    one_step: bool = False
+
+    def on(self, base: AttackSpec) -> AttackSpec:
+        """This attack at ``base``'s budget: its weights, and if one step, its step rule."""
+        if not self.one_step:
+            return replace(base, weights=self.weights)
+        return replace(base, weights=self.weights, iterations=1, alpha=None,
+                       random_init=False)
 
 
-def fgsm_spec(epsilon: float) -> AttackSpec:
-    """One full-budget CE step, deterministic start."""
-    return AttackSpec(LossWeights(1, 0, 0), epsilon, alpha=default_alpha(epsilon, 1),
-                      iterations=1, random_init=False)
-
-
-def pgd_spec(epsilon: float, iterations: int = 10, alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(LossWeights(1, 0, 0), epsilon,
-                      alpha=_alpha_or_default(alpha, epsilon, iterations),
-                      iterations=iterations, random_init=True)
-
-
-def cw_spec(epsilon: float, iterations: int = 10, margin: float = 50.0,
-            alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(LossWeights(0, 0, 1), epsilon,
-                      alpha=_alpha_or_default(alpha, epsilon, iterations),
-                      iterations=iterations, random_init=True, margin=margin)
-
-
-def fs_spec(epsilon: float, iterations: int = 10, alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(LossWeights(0, 1, 0), epsilon,
-                      alpha=_alpha_or_default(alpha, epsilon, iterations),
-                      iterations=iterations, random_init=True)
-
-
-def hybrid_spec(epsilon: float, iterations: int = 10, margin: float = 50.0,
-                weights: LossWeights = LossWeights(1, 1, 1),
-                alpha: float | None = None) -> AttackSpec:
-    return AttackSpec(weights, epsilon,
-                      alpha=_alpha_or_default(alpha, epsilon, iterations),
-                      iterations=iterations, random_init=True, margin=margin)
-
-
-ATTACK_BUILDERS = {
-    "fgsm": lambda eps, T=1, margin=50.0: fgsm_spec(eps),
-    "pgd": lambda eps, T=10, margin=50.0: pgd_spec(eps, T),
-    "cw": lambda eps, T=10, margin=50.0: cw_spec(eps, T, margin),
-    "fs": lambda eps, T=10, margin=50.0: fs_spec(eps, T),
-    "hybrid": lambda eps, T=10, margin=50.0: hybrid_spec(eps, T, margin),
+# The attack-name -> spec table: the one place each named attack is defined.
+ATTACKS = {
+    "fgsm": Attack(LossWeights(1, 0, 0), one_step=True),
+    "pgd": Attack(LossWeights(1, 0, 0)),
+    "cw": Attack(LossWeights(0, 0, 1)),
+    "fs": Attack(LossWeights(0, 1, 0)),
+    "hybrid": Attack(LossWeights(1, 1, 1)),
 }
+
+
+def attack_spec(name: str, epsilon: float, iterations: int | None = None,
+                margin: float = DEFAULT_MARGIN, alpha: float | None = None) -> AttackSpec:
+    """The named attack at budget ``epsilon``; T defaults to DEFAULT_ITERATIONS."""
+    attack = ATTACKS[name]
+    return attack.on(AttackSpec(attack.weights, epsilon, alpha,
+                                DEFAULT_ITERATIONS if iterations is None else iterations,
+                                random_init=True, margin=margin))
+
+
+fgsm_spec = partial(attack_spec, "fgsm")
+pgd_spec = partial(attack_spec, "pgd")
+cw_spec = partial(attack_spec, "cw")
+fs_spec = partial(attack_spec, "fs")
+hybrid_spec = partial(attack_spec, "hybrid")
+
+
+def spec_with(spec: AttackSpec, *, epsilon: float | None = None,
+              iterations: int | None = None) -> AttackSpec | None:
+    """Copy a spec at another budget or step count, with ``default_alpha``.
+
+    A zero budget is the clean evaluation and gives None.
+    """
+    if epsilon == 0:
+        return None
+    return replace(spec, epsilon=spec.epsilon if epsilon is None else epsilon,
+                   iterations=spec.iterations if iterations is None else iterations,
+                   alpha=None)
 
 
 @dataclass
@@ -179,20 +196,6 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
                             snr_db=snr_db(x, x_adv))
 
 
-def fgsm_direct(forward: ForwardFn, x: np.ndarray, y: np.ndarray, epsilon: float,
-                *, mode: str = "eval") -> np.ndarray:
-    """Independently coded one-step sign attack, used as a specialization oracle."""
-    from .losses import ce_loss
-
-    x = np.asarray(x, dtype=np.float64)
-    xv = Value(x, requires_grad=True)
-    loss = ce_loss(forward(xv, mode), y)
-    ad.backward(loss)
-    stepped = x + epsilon * np.sign(xv.grad)
-    stepped = np.clip(stepped, x - epsilon, x + epsilon)
-    return np.clip(stepped, WAVE_MIN, WAVE_MAX)
-
-
 def model_forward_fn(params, param_values=None) -> ForwardFn:
     """Adapter binding ModelParams into the ForwardFn shape attacks expect."""
     from .model import forward_logits
@@ -202,8 +205,3 @@ def model_forward_fn(params, param_values=None) -> ForwardFn:
 
     return fn
 
-
-def spec_with_epsilon(spec: AttackSpec, epsilon: float, rescale_alpha: bool = True) -> AttackSpec:
-    """Copy a spec at a different budget, with ``default_alpha`` unless told to keep alpha."""
-    alpha = default_alpha(epsilon, spec.iterations) if rescale_alpha else spec.alpha
-    return replace(spec, epsilon=epsilon, alpha=alpha)

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
-from .attacks import (AttackSpec, cw_spec, fgsm_spec, fs_spec, generate,
-                      hybrid_spec, model_forward_fn, pgd_spec)
+from .attacks import ATTACKS, AttackSpec, attack_spec, generate, model_forward_fn, spec_with
 from .autodiff import NonFiniteError
-from .config import (ConfigError, ExperimentConfig, apply_overrides,
+from .config import (ConfigError, ExperimentConfig, ScenarioSection, apply_overrides,
                      config_from_dict, validate)
-from .data import (Corpus, CorpusError, ingest, load_corpus, synth_corpus,
+from .data import (Corpus, CorpusError, ingest, load_corpus, save_manifest, synth_corpus,
                    write_wav)
 from .model import build, load_checkpoint
 from .training import fit
@@ -32,6 +31,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_MISSING = 4
+
+# The multi-step attacks of the `report` comparison table, one column per T.
+REPORT_ATTACKS = ("pgd", "cw", "fs")
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -86,42 +88,23 @@ def _scenario_spec(scenario, eval_cfg) -> AttackSpec | None:
     eps = scenario.epsilon if scenario.epsilon is not None else eval_cfg.epsilon
     if scenario.kind == "clean" or eps == 0:
         return None
-    iters = scenario.iterations or 10
-    margin = eval_cfg.margin
-    builders = {
-        "fgsm": lambda: fgsm_spec(eps),
-        "pgd": lambda: pgd_spec(eps, iters),
-        "cw": lambda: cw_spec(eps, iters, margin),
-        "fs": lambda: fs_spec(eps, iters),
-        "hybrid": lambda: hybrid_spec(eps, iters, margin),
-    }
-    kind = scenario.attack if scenario.kind in ("transfer", "epsilon_sweep",
-                                                "iteration_sweep") else scenario.kind
-    return builders[kind]()
+    name = scenario.kind if scenario.kind in ATTACKS else scenario.attack
+    return attack_spec(name, eps, scenario.iterations, eval_cfg.margin)
 
 
 def _scenario_name(scenario, spec: AttackSpec | None) -> str:
     if spec is None:
         return "clean"
-    if scenario.kind in ("fgsm", "pgd", "cw", "fs", "hybrid"):
-        suffix = "" if scenario.kind == "fgsm" else str(spec.iterations)
+    if scenario.kind in ATTACKS:
+        suffix = "" if ATTACKS[scenario.kind].one_step else str(spec.iterations)
         return f"{scenario.kind}{suffix}"
     return f"{scenario.kind}:{scenario.attack}{spec.iterations}"
 
 
 def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
-    if config.corpus.kind == "wav_dir":
-        from .data import save_manifest
-
-        manifest = ingest(config.corpus.root, split_seed=config.corpus.split_seed)
-        save_manifest(out_dir / "manifest.json", manifest)
-        corpus = load_corpus(manifest)
-        if corpus.sample_rate != config.frontend.sample_rate:
-            raise ConfigError([
-                f"corpus sample rate {corpus.sample_rate} != frontend.sample_rate "
-                f"{config.frontend.sample_rate}"])
-    else:
-        corpus = build_corpus(config)
+    corpus = build_corpus(config)
+    if corpus.manifest is not None:
+        save_manifest(out_dir / "manifest.json", corpus.manifest)
     params = build(config.model, config.frontend, config.seed)
     fp = config.fingerprint()
     (out_dir / "config.resolved.json").write_text(
@@ -167,8 +150,8 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
                 header_note=f"epsilon sweep; fingerprint={fp} seed={config.seed}"))
             for eps, acc in curve:
                 report.entries.append(ev.ReportEntry(
-                    f"{name}@eps={eps:g}", acc, ev.attack_dict(spec), None,
-                    config.eval.seed))
+                    f"{name}@eps={eps:g}", acc, ev.attack_dict(spec_with(spec, epsilon=eps)),
+                    None, config.eval.seed))
             continue
         if scenario.kind == "iteration_sweep":
             curve = ev.iteration_sweep(params, corpus, scenario.counts, spec, **kwargs)
@@ -177,7 +160,8 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
                 header_note=f"iteration sweep; fingerprint={fp} seed={config.seed}"))
             for t, acc in curve:
                 report.entries.append(ev.ReportEntry(
-                    f"{name}@T={t}", acc, ev.attack_dict(spec), None, config.eval.seed))
+                    f"{name}@T={t}", acc, ev.attack_dict(spec_with(spec, iterations=t)),
+                    None, config.eval.seed))
             continue
         if scenario.kind == "transfer":
             if source_params is None:
@@ -204,16 +188,15 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_attack(config: ExperimentConfig, out_dir: Path) -> int:
+    scenario = next((s for s in config.eval.scenarios if s.kind in ATTACKS),
+                    ScenarioSection("pgd"))
+    spec = _scenario_spec(scenario, config.eval)
+    if spec is None:
+        raise ConfigError([f"eval.epsilon: the {scenario.kind} scenario has a zero budget, "
+                           "so attack has nothing to generate"])
     params, _ = _load_checkpoint_or_missing(config.eval.target_checkpoint,
                                             "eval.target_checkpoint")
     corpus = build_corpus(config)
-    non_clean = [s for s in config.eval.scenarios
-                 if s.kind in ("fgsm", "pgd", "cw", "fs", "hybrid")]
-    scenario = non_clean[0] if non_clean else None
-    spec = (_scenario_spec(scenario, config.eval) if scenario
-            else pgd_spec(config.eval.epsilon, 10))
-    if spec is None:
-        raise ConfigError(["attack: resolved a clean scenario; nothing to generate"])
     from .data import batch_iter
 
     wav_dir = out_dir / "adv"
@@ -269,21 +252,20 @@ def cmd_report(config: ExperimentConfig, out_dir: Path) -> int:
 
     iterations = [10, 20, 40] if config.eval.full_grid else list(config.report.iterations)
     eps = config.eval.epsilon
-    margin = config.eval.margin
+    scenarios = [ScenarioSection("clean"), ScenarioSection("fgsm")] + [
+        ScenarioSection(kind, iterations=t) for kind in REPORT_ATTACKS for t in iterations]
+    cells = {}
+    for scenario in scenarios:
+        spec = _scenario_spec(scenario, config.eval)
+        cells[_scenario_name(scenario, spec)] = spec
+    columns = list(cells)
     kwargs = dict(batch_size=config.eval.batch_size,
                   segment_length=config.train.segment_length,
                   seed=config.eval.seed, split=config.eval.split)
-    columns = ["clean", "fgsm"] + [f"{kind}{t}" for kind in ("pgd", "cw", "fs")
-                                   for t in iterations]
     grid = {}
     for name, params in loaded:
-        row = {"clean": ev.clean_accuracy(params, corpus, **kwargs)}
-        row["fgsm"] = ev.accuracy_under_attack(params, corpus, fgsm_spec(eps), **kwargs)[0]
-        for t in iterations:
-            row[f"pgd{t}"] = ev.accuracy_under_attack(params, corpus, pgd_spec(eps, t), **kwargs)[0]
-            row[f"cw{t}"] = ev.accuracy_under_attack(params, corpus, cw_spec(eps, t, margin), **kwargs)[0]
-            row[f"fs{t}"] = ev.accuracy_under_attack(params, corpus, fs_spec(eps, t), **kwargs)[0]
-        grid[name] = row
+        grid[name] = {column: ev.accuracy_under_attack(params, corpus, spec, **kwargs)[0]
+                      for column, spec in cells.items()}
         print(f"evaluated {name}")
 
     width = max(len(n) for n, _ in loaded)

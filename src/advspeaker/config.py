@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
-from .attacks import AttackSpec, default_alpha
+from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON
 from .data import SynthConfig
 from .frontend import FrontendConfig
 from .losses import LossWeights, SinkhornSettings
 from .model import SpeakerCNNConfig
-from .training import PAPER_LR_SCHEDULE, TrainConfig
+from .training import PAPER_LR_SCHEDULE, TrainConfig, default_train_attack
 from .util import fingerprint
 
 
@@ -61,16 +62,16 @@ class ScenarioSection:
     counts: list[int] = field(default_factory=list)
 
 
-SCENARIO_KINDS = ("clean", "fgsm", "pgd", "cw", "fs", "hybrid", "transfer",
-                  "epsilon_sweep", "iteration_sweep")
+SWEEP_KINDS = ("epsilon_sweep", "iteration_sweep")
+SCENARIO_KINDS = ("clean", *ATTACKS, "transfer", *SWEEP_KINDS)
 
 
 @dataclass
 class EvalSection:
     batch_size: int = 40
     split: str = "test"
-    epsilon: float = 0.002
-    margin: float = 50.0
+    epsilon: float = REFERENCE_EPSILON
+    margin: float = DEFAULT_MARGIN
     seed: int = 0
     target_checkpoint: str | None = None
     source_checkpoint: str | None = None
@@ -177,12 +178,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     corpus = _dataclass_from(CorpusSection, corpus_raw, "corpus")
     frontend = _dataclass_from(FrontendConfig, raw.get("frontend", {}), "frontend")
     model = _dataclass_from(SpeakerCNNConfig, model_raw, "model")
-    weights = LossWeights(attack_raw.pop("beta", 1.0), attack_raw.pop("gamma", 1.0),
-                          attack_raw.pop("zeta", 1.0))
-    attack_defaults = dict(epsilon=0.002, alpha=default_alpha(0.002, 10), iterations=10,
-                           random_init=True, margin=50.0)
-    attack_defaults.update(attack_raw)
-    attack = _dataclass_from(AttackSpec, dict(weights=weights, **attack_defaults), "train.attack")
+    reference = default_train_attack()
+    beta, gamma, zeta = (float(w) for w in reference.weights.as_tuple())
+    weights = LossWeights(attack_raw.pop("beta", beta), attack_raw.pop("gamma", gamma),
+                          attack_raw.pop("zeta", zeta))
+    # an unstated alpha follows the resolved epsilon and iterations
+    attack = _dataclass_from(partial(replace, reference),
+                             {"alpha": None, **attack_raw, "weights": weights}, "train.attack")
     sinkhorn = _dataclass_from(SinkhornSettings, sinkhorn_raw, "train.sinkhorn")
     if "lr_schedule" in train_raw:
         train_raw["lr_schedule"] = tuple((int(e), float(r)) for e, r in train_raw["lr_schedule"])
@@ -262,8 +264,6 @@ def apply_overrides(raw: dict, overrides) -> dict:
 # ---------------------------------------------------------------------------
 # validation
 
-REFERENCE_EPSILON = 0.002
-
 
 def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     """(violations, warnings). Violations make the config unusable; warnings
@@ -291,16 +291,33 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     if config.eval.split not in ("train", "test", "all"):
         violations.append(f"eval.split: unknown split {config.eval.split!r}")
     for i, scenario in enumerate(config.eval.scenarios):
+        where = f"eval.scenarios[{i}]"
         if scenario.kind not in SCENARIO_KINDS:
-            violations.append(f"eval.scenarios[{i}].kind: unknown kind {scenario.kind!r}")
+            violations.append(f"{where}.kind: unknown kind {scenario.kind!r}")
+        if scenario.kind in ("transfer", *SWEEP_KINDS) and scenario.attack not in ATTACKS:
+            violations.append(f"{where}.attack: unknown attack {scenario.attack!r} "
+                              f"(one of {', '.join(ATTACKS)})")
+        if scenario.iterations is not None and scenario.iterations < 1:
+            violations.append(f"{where}.iterations: must be >= 1")
         if scenario.kind == "epsilon_sweep" and not scenario.epsilons:
-            violations.append(f"eval.scenarios[{i}]: epsilon_sweep needs epsilons")
+            violations.append(f"{where}: epsilon_sweep needs epsilons")
+        if any(e < 0 for e in scenario.epsilons):
+            violations.append(f"{where}.epsilons: must be >= 0")
         if scenario.kind == "iteration_sweep" and not scenario.counts:
-            violations.append(f"eval.scenarios[{i}]: iteration_sweep needs counts")
+            violations.append(f"{where}: iteration_sweep needs counts")
+        if any(t < 1 for t in scenario.counts):
+            violations.append(f"{where}.counts: must be >= 1")
         if scenario.kind == "transfer" and not config.eval.source_checkpoint:
-            violations.append(f"eval.scenarios[{i}]: transfer needs eval.source_checkpoint")
+            violations.append(f"{where}: transfer needs eval.source_checkpoint")
         if scenario.epsilon is not None and scenario.epsilon < 0:
-            violations.append(f"eval.scenarios[{i}].epsilon: must be >= 0")
+            violations.append(f"{where}.epsilon: must be >= 0")
+        budget = config.eval.epsilon if scenario.epsilon is None else scenario.epsilon
+        if scenario.kind in SWEEP_KINDS and budget == 0:
+            violations.append(f"{where}: {scenario.kind} needs a budget > 0 "
+                              f"(eval.epsilon or the scenario's epsilon)")
+
+    if any(t < 1 for t in config.report.iterations):
+        violations.append("report.iterations: must be >= 1")
 
     # receptive-field check: the training segment must survive the stack
     from .model import min_input_samples
@@ -330,11 +347,8 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
 
 def desk_preset(defense: str) -> ExperimentConfig:
     """Desk-scale synthetic-corpus preset for one defense kind."""
-    attack = AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=default_alpha(0.002, 10),
-                        iterations=10, random_init=True, margin=50.0)
     train = TrainConfig(epochs=30, batch_size=32, lr_schedule=PAPER_LR_SCHEDULE,
-                        momentum=0.9, w1=1.0, w2=1.0, defense=defense,
-                        attack=attack, segment_length=8000,
+                        momentum=0.9, w1=1.0, w2=1.0, defense=defense, segment_length=8000,
                         sinkhorn=SinkhornSettings(0.01, 300, 1e-6),
                         checkpoint_every=10)
     fe = FrontendConfig(sample_rate=16000, window_length=256, hop_length=128,
@@ -349,10 +363,8 @@ def desk_preset(defense: str) -> ExperimentConfig:
 
 def full_scale_preset() -> ExperimentConfig:
     """Full-scale settings (251 speakers, 200 epochs); documented, not run in CI."""
-    attack = AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=default_alpha(0.002, 10),
-                        iterations=10, random_init=True, margin=50.0)
     train = TrainConfig(epochs=200, batch_size=32, lr_schedule=PAPER_LR_SCHEDULE,
-                        momentum=0.9, w1=1.0, w2=1.0, defense="hat", attack=attack,
+                        momentum=0.9, w1=1.0, w2=1.0, defense="hat",
                         segment_length=48000, sinkhorn=SinkhornSettings(0.01, 1000, 1e-6),
                         checkpoint_every=10)
     return ExperimentConfig(

@@ -45,6 +45,7 @@ class Corpus:
     utterances: list[Utterance]
     sample_rate: int
     fingerprint: str
+    manifest: CorpusManifest | None = field(default=None, repr=False)  # if read from WAVs
 
     speakers: list[str] = field(init=False)
 
@@ -194,7 +195,7 @@ def load_manifest(path) -> CorpusManifest:
 def load_corpus(manifest: CorpusManifest) -> Corpus:
     utterances = [Utterance(read_wav(e.path)[0], manifest.sample_rate,
                             e.speaker_id, e.split) for e in manifest.entries]
-    return Corpus(utterances, manifest.sample_rate, manifest.fingerprint)
+    return Corpus(utterances, manifest.sample_rate, manifest.fingerprint, manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -16,24 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import (AttackSpec, cw_spec, default_alpha, fgsm_spec, generate,
-                      model_forward_fn, pgd_spec, spec_with_epsilon)
+from .attacks import (AttackSpec, cw_spec, fgsm_spec, generate, model_forward_fn,
+                      pgd_spec, spec_with)
 from .data import Corpus, batch_iter
 from .losses import LossWeights, SinkhornSettings
 from .model import ModelParams, forward_logits
 from .training import TrainConfig, fit
 from .util import fingerprint
-
-
-@dataclass
-class EvalScenario:
-    """One evaluation: an attack against a target, optionally crafted on a
-    different source model (transfer/black-box)."""
-
-    name: str
-    attack: AttackSpec | None          # None: clean evaluation
-    source: str | None = None          # label of the source model, if transfer
-    seed: int = 0
 
 
 @dataclass
@@ -160,28 +149,18 @@ def transfer_eval(source: ModelParams, target: ModelParams, corpus: Corpus,
 
 def epsilon_sweep(target: ModelParams, corpus: Corpus, epsilons,
                   template: AttackSpec, **kwargs) -> list[tuple[float, float]]:
-    """Accuracy per budget; alpha is reset to ``default_alpha`` at every point."""
-    curve = []
-    for eps in epsilons:
-        if eps == 0:
-            acc = clean_accuracy(target, corpus, **kwargs)
-        else:
-            acc, _ = accuracy_under_attack(target, corpus,
-                                           spec_with_epsilon(template, float(eps)), **kwargs)
-        curve.append((float(eps), acc))
-    return curve
+    """Accuracy per budget; each point runs ``spec_with(template, epsilon=eps)``."""
+    return [(float(eps), accuracy_under_attack(
+                target, corpus, spec_with(template, epsilon=float(eps)), **kwargs)[0])
+            for eps in epsilons]
 
 
 def iteration_sweep(target: ModelParams, corpus: Corpus, counts,
                     template: AttackSpec, **kwargs) -> list[tuple[int, float]]:
-    """Accuracy per iteration count; alpha is ``default_alpha`` at every count."""
-    curve = []
-    for t in counts:
-        t = int(t)
-        spec = replace(template, iterations=t, alpha=default_alpha(template.epsilon, t))
-        acc, _ = accuracy_under_attack(target, corpus, spec, **kwargs)
-        curve.append((t, acc))
-    return curve
+    """Accuracy per step count; each point runs ``spec_with(template, iterations=t)``."""
+    return [(int(t), accuracy_under_attack(
+                target, corpus, spec_with(template, iterations=int(t)), **kwargs)[0])
+            for t in counts]
 
 
 def curve_csv(rows, attack_name: str, seed: int, *, header_note: str = "") -> str:

@@ -12,25 +12,29 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import AttackSpec, LossWeights, default_alpha, generate, model_forward_fn
+from .attacks import (ATTACKS, REFERENCE_EPSILON, AttackSpec, generate, hybrid_spec,
+                      model_forward_fn)
 from .autodiff import NonFiniteError, Value
 from .data import Corpus, batch_iter
 from .losses import SinkhornSettings, ce_loss
 from .model import ModelParams, forward_logits, save_checkpoint
 
-DEFENSE_KINDS = ("standard", "fgsm_at", "pgd_at", "fs_at", "hat")
+# The named attack each single-objective defense trains against; HAT trains
+# against the configured attack as given, standard training against none.
+DEFENSE_ATTACKS = {"fgsm_at": "fgsm", "pgd_at": "pgd", "fs_at": "fs"}
+DEFENSE_KINDS = ("standard", *DEFENSE_ATTACKS, "hat")
 
 PAPER_LR_SCHEDULE = ((60, 0.1), (90, 0.01), (200, 0.001))
 
 
 def default_train_attack() -> AttackSpec:
-    return AttackSpec(LossWeights(1, 1, 1), epsilon=0.002, alpha=default_alpha(0.002, 10),
-                      iterations=10, random_init=True, margin=50.0)
+    """The reference training attack: the hybrid attack at the reference budget."""
+    return hybrid_spec(REFERENCE_EPSILON)
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,11 @@ def attack_spec_for_defense(defense: str, base: AttackSpec) -> AttackSpec | None
     """Resolve the per-defense inner objective from the configured template."""
     if defense == "standard":
         return None
-    if defense == "fgsm_at":
-        return replace(base, weights=LossWeights(1, 0, 0), iterations=1,
-                       alpha=default_alpha(base.epsilon, 1), random_init=False)
-    if defense == "pgd_at":
-        return replace(base, weights=LossWeights(1, 0, 0))
-    if defense == "fs_at":
-        return replace(base, weights=LossWeights(0, 1, 0))
     if defense == "hat":
         return base
-    raise ValueError(f"unknown defense {defense!r}")
+    if defense not in DEFENSE_ATTACKS:
+        raise ValueError(f"unknown defense {defense!r}")
+    return ATTACKS[DEFENSE_ATTACKS[defense]].on(base)
 
 
 def sgd_momentum_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from fgsm_direct import fgsm_direct
 from gradcheck_cases import PRIMITIVE_CASES
 from advspeaker.util import stable_int
 
@@ -21,8 +22,8 @@ from advspeaker import data as dt
 from advspeaker import evaluate as ev
 from advspeaker import model as mdl
 from advspeaker import training as tr
-from advspeaker.attacks import (AttackSpec, fgsm_direct, fgsm_spec, generate,
-                                model_forward_fn, pgd_spec, snr_db)
+from advspeaker.attacks import (AttackSpec, fgsm_spec, generate, model_forward_fn,
+                                pgd_spec, snr_db)
 from advspeaker.frontend import FrontendConfig
 from advspeaker.losses import (LossWeights, SinkhornConvergenceWarning,
                                TransportProblem, sinkhorn_ot)

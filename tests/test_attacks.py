@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fgsm_direct import fgsm_direct
 
 from advspeaker import attacks as atk
 from advspeaker import autodiff as ad
@@ -100,7 +101,7 @@ def test_generate_fgsm_specialization_bit_equals_direct_fgsm():
     spec = atk.AttackSpec(ls.LossWeights(1, 0, 0), epsilon=0.002, alpha=0.002,
                           iterations=1, random_init=False)
     via_generate = atk.generate(forward, x, y, spec).x_adv
-    direct = atk.fgsm_direct(forward, x, y, 0.002)
+    direct = fgsm_direct(forward, x, y, 0.002)
     assert np.array_equal(via_generate, direct)
 
 
@@ -217,9 +218,9 @@ def test_generate_ball_invariant_property(seed, eps, iterations):
 
 def test_spec_with_epsilon_rescales_alpha():
     spec = atk.pgd_spec(0.002, iterations=10)
-    wider = atk.spec_with_epsilon(spec, 0.01)
+    wider = atk.spec_with(spec, epsilon=0.01)
     assert wider.epsilon == 0.01 and wider.alpha == 0.002
-    one_step = atk.spec_with_epsilon(atk.fgsm_spec(0.002), 0.01)
+    one_step = atk.spec_with(atk.fgsm_spec(0.002), epsilon=0.01)
     assert one_step.alpha == 0.01
 
 

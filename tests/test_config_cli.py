@@ -276,3 +276,101 @@ def test_cli_ablate_micro(tmp_path):
     assert cli.main(["ablate", "--config", path]) == 0
     csv = (tmp_path / "abl" / "ablation.csv").read_text()
     assert len([l for l in csv.splitlines() if l and not l.startswith(("#", "subset"))]) == 7
+
+
+# --- the attack registry ------------------------------------------------------
+# The benchmark builds its workloads through these names, so they are pinned
+# here: the canonical JSON also pins int vs float, which the report hash sees.
+
+FGSM = {"weights": [1, 0, 0], "epsilon": 0.002, "alpha": 0.002, "iterations": 1,
+        "random_init": False, "margin": 50.0}
+PGD10 = {"weights": [1, 0, 0], "epsilon": 0.002, "alpha": 0.0004, "iterations": 10,
+         "random_init": True, "margin": 50.0}
+CW10 = {"weights": [0, 0, 1], "epsilon": 0.002, "alpha": 0.0004, "iterations": 10,
+        "random_init": True, "margin": 50.0}
+FS10 = {"weights": [0, 1, 0], "epsilon": 0.002, "alpha": 0.0004, "iterations": 10,
+        "random_init": True, "margin": 50.0}
+HYBRID10 = {"weights": [1, 1, 1], "epsilon": 0.002, "alpha": 0.0004, "iterations": 10,
+            "random_init": True, "margin": 50.0}
+
+
+def test_desk_eval_scenarios_and_defense_attacks_are_pinned():
+    from advspeaker import evaluate as ev
+    from advspeaker import training as tr
+    from advspeaker.util import canonical_json
+
+    config = cfg.BUILTIN_PRESETS["desk-standard"]()
+    resolved = []
+    for scenario in config.eval.scenarios:
+        spec = cli._scenario_spec(scenario, config.eval)
+        resolved.append([cli._scenario_name(scenario, spec), ev.attack_dict(spec)])
+    assert canonical_json(resolved) == canonical_json([
+        ["clean", None], ["fgsm", FGSM], ["pgd10", PGD10], ["cw10", CW10],
+        ["fs10", FS10], ["hybrid10", HYBRID10]])
+
+    base = config.train.attack
+    per_defense = {d: ev.attack_dict(tr.attack_spec_for_defense(d, base))
+                   for d in tr.DEFENSE_KINDS}
+    assert canonical_json(per_defense) == canonical_json({
+        "standard": None, "fgsm_at": FGSM, "pgd_at": PGD10, "fs_at": FS10,
+        "hat": HYBRID10})
+    assert tr.attack_spec_for_defense("hat", base) is base  # the ablation varies its weights
+
+
+def test_default_train_alpha_follows_the_resolved_budget():
+    wider = cfg.config_from_dict({"train": {"attack": {"epsilon": 0.01}}}).train.attack
+    assert wider.alpha == 0.01 / 5
+    one_step = cfg.config_from_dict({"train": {"attack": {"iterations": 1}}}).train.attack
+    assert one_step.alpha == 0.002
+    stated = cfg.config_from_dict({"train": {"attack": {"epsilon": 0.01, "alpha": 0.003}}})
+    assert stated.train.attack.alpha == 0.003
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("eval", ['eval.scenarios=[{"kind": "transfer", "attack": "pgdd"}]',
+              "eval.source_checkpoint=src.npz"], "eval.scenarios[0].attack"),
+    ("eval", ['eval.scenarios=[{"kind": "epsilon_sweep", "attack": "clean", '
+              '"epsilons": [0.002]}]'], "eval.scenarios[0].attack"),
+    ("eval", ['eval.scenarios=[{"kind": "pgd", "iterations": -3}]'],
+     "eval.scenarios[0].iterations"),
+    ("eval", ['eval.scenarios=[{"kind": "cw", "iterations": 0}]'],
+     "eval.scenarios[0].iterations"),
+    ("eval", ['eval.scenarios=[{"kind": "iteration_sweep", "counts": [1, 2]}]',
+              "eval.epsilon=0"], "eval.epsilon"),
+    ("eval", ['eval.scenarios=[{"kind": "epsilon_sweep", "epsilons": [0.0, 0.002]}]',
+              "eval.epsilon=0"], "eval.epsilon"),
+    ("attack", ['eval.scenarios=[{"kind": "clean"}]', "eval.epsilon=0"], "eval.epsilon"),
+    ("report", ["report.iterations=[0]", 'report.checkpoints=[["a", "a.npz"]]'],
+     "report.iterations"),
+])
+def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
+                                                           overrides, field):
+    raw = micro_config_dict(out=str(tmp_path / "out"))
+    raw["eval"]["target_checkpoint"] = str(tmp_path / "absent.npz")
+    argv = [command, "--config", write_config(tmp_path, raw)]
+    for expr in overrides:
+        argv += ["--set", expr]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+def test_sweep_entries_record_the_spec_each_point_ran(tmp_path):
+    out = tmp_path / "run"
+    raw = micro_config_dict(out=str(out))
+    raw["train"]["epochs"] = 1
+    raw["eval"]["target_checkpoint"] = str(out / "checkpoint.npz")
+    raw["eval"]["scenarios"] = [
+        {"kind": "epsilon_sweep", "attack": "pgd", "iterations": 2,
+         "epsilons": [0.0, 0.01]},
+        {"kind": "iteration_sweep", "attack": "pgd", "counts": [1, 3]},
+    ]
+    path = write_config(tmp_path, raw)
+    assert cli.main(["train", "--config", path]) == 0
+    assert cli.main(["eval", "--config", path, "--out", str(tmp_path / "e")]) == 0
+    lines = (tmp_path / "e" / "report.jsonl").read_text().splitlines()[1:]
+    attacks = {json.loads(l)["name"]: json.loads(l)["attack"] for l in lines}
+    assert attacks["epsilon_sweep:pgd2@eps=0"] is None
+    assert attacks["epsilon_sweep:pgd2@eps=0.01"] == dict(
+        PGD10, epsilon=0.01, alpha=0.01 / 5, iterations=2)
+    assert attacks["iteration_sweep:pgd10@T=1"] == dict(PGD10, alpha=0.002, iterations=1)
+    assert attacks["iteration_sweep:pgd10@T=3"] == dict(PGD10, iterations=3)
