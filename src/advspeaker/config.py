@@ -265,10 +265,39 @@ def apply_overrides(raw: dict, overrides) -> dict:
 # validation
 
 
+def _is_a(value, kind: type) -> bool:
+    """int for counts, float for budgets (an int is a valid float); never bool."""
+    return isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
+
+
+def _type_violations(config: ExperimentConfig) -> list[str]:
+    """Type-check the numeric fields ``validate`` compares, before it compares them."""
+    scalars = [("eval.epsilon", config.eval.epsilon, float)]
+    lists = [("report.iterations", config.report.iterations, int)]
+    for i, scenario in enumerate(config.eval.scenarios):
+        where = f"eval.scenarios[{i}]"
+        if scenario.iterations is not None:
+            scalars.append((f"{where}.iterations", scenario.iterations, int))
+        if scenario.epsilon is not None:
+            scalars.append((f"{where}.epsilon", scenario.epsilon, float))
+        lists += [(f"{where}.epsilons", scenario.epsilons, float),
+                  (f"{where}.counts", scenario.counts, int)]
+    noun = {float: ("a number", "numbers"), int: ("an integer", "integers")}
+    violations = [f"{name}: must be {noun[kind][0]}, got {value!r}"
+                  for name, value, kind in scalars if not _is_a(value, kind)]
+    violations += [f"{name}: must be a list of {noun[kind][1]}, got {values!r}"
+                   for name, values, kind in lists
+                   if not isinstance(values, (list, tuple))
+                   or not all(_is_a(v, kind) for v in values)]
+    return violations
+
+
 def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     """(violations, warnings). Violations make the config unusable; warnings
     flag values that diverge from the reference experimental defaults."""
-    violations: list[str] = []
+    violations = _type_violations(config)
+    if violations:
+        return violations, []
     warnings_: list[str] = []
 
     if config.corpus.kind not in ("synthetic", "wav_dir"):

@@ -4,9 +4,16 @@ feature-scattering distance, plus their weighted hybrid combination.
 All three losses operate in logit space. The feature-scattering term treats
 the clean and adversarial logit batches as two uniform discrete
 distributions and measures the entropic-regularized OT distance between
-them under a pairwise cosine cost. The converged transport plan is treated
-as a constant, so the gradient of the distance with respect to the cost
-matrix is the plan itself.
+them under a pairwise cosine cost, solved by Sinkhorn in matrix-scaling
+form. The converged transport plan is treated as a constant, so the
+gradient of the distance with respect to the cost matrix is the plan
+itself.
+
+The scaling form works on the kernel exp(-cost / regularization), which
+stays finite and nonzero in float64 only while |cost| / regularization is
+at most MAX_COST_RATIO; ``TransportProblem`` rejects anything beyond it.
+Cosine costs lie in [0, 2], so ``SinkhornSettings`` accepts no
+regularization below MIN_REGULARIZATION.
 """
 
 from __future__ import annotations
@@ -20,8 +27,19 @@ from . import autodiff as ad
 from .autodiff import Value
 
 
+# exp(-745) underflows to 0 in float64; 700 leaves the kernel normal
+MAX_COST_RATIO = 700.0
+# cosine costs reach 2, and 2 / 0.003 ≈ 667 stays under MAX_COST_RATIO
+MIN_REGULARIZATION = 0.003
+
+
 class SinkhornConvergenceWarning(RuntimeWarning):
     pass
+
+
+def _check_budget(max_iters: int, tolerance: float) -> None:
+    if max_iters < 1 or tolerance <= 0:
+        raise ValueError("max_iters must be >= 1 and tolerance > 0")
 
 
 @dataclass(frozen=True)
@@ -49,10 +67,10 @@ class SinkhornSettings:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.regularization <= 0:
-            raise ValueError("regularization must be > 0")
-        if self.max_iters < 1 or self.tolerance <= 0:
-            raise ValueError("max_iters must be >= 1 and tolerance > 0")
+        if self.regularization < MIN_REGULARIZATION:
+            raise ValueError(f"regularization must be >= {MIN_REGULARIZATION}, "
+                             f"got {self.regularization}")
+        _check_budget(self.max_iters, self.tolerance)
 
 
 @dataclass
@@ -74,6 +92,9 @@ class TransportProblem:
                 raise ValueError(f"{name} must be nonnegative and sum to 1")
         if self.regularization <= 0:
             raise ValueError("regularization must be > 0")
+        if np.abs(cost_data).max() / self.regularization > MAX_COST_RATIO:
+            raise ValueError(f"max |cost| / regularization must be <= {MAX_COST_RATIO:g}, "
+                             f"or the Sinkhorn kernel underflows")
 
 
 @dataclass
@@ -151,43 +172,40 @@ def _round_to_feasible(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.n
 
 def sinkhorn_ot(problem: TransportProblem, max_iters: int = 1000,
                 tolerance: float = 1e-6) -> TransportPlan:
-    """Entropic-regularized OT via log-domain alternating scaling.
+    """Entropic-regularized OT via Sinkhorn's alternating matrix scaling.
 
-    The scaling loop runs until the marginal violation drops below
-    ``tolerance`` or the budget is spent; the plan is then rounded onto
-    exact marginals. The returned plan is a plain array; when the cost is
-    a Value the distance is the differentiable <plan, cost> with the plan
-    held constant. A loop that did not reach tolerance is reported via
+    The plan is diag(u) K diag(v) with kernel K = exp(-cost / lambda); each
+    iteration rescales u to fit the row marginals, then v to fit the column
+    marginals, starting from v = 1. These are the iterates of the
+    log-domain form with u = exp(f / lambda) and v = exp(g / lambda); the
+    kernel stays finite by the range rule ``TransportProblem`` enforces.
+    The loop runs until the marginal violation drops below ``tolerance``
+    or the budget is spent; the plan is then rounded onto exact marginals.
+    The returned plan is a plain array; when the cost is a Value the
+    distance is the differentiable <plan, cost> with the plan held
+    constant. A loop that did not reach tolerance is reported via
     ``converged=False``, never as an exception.
     """
+    _check_budget(max_iters, tolerance)
     cost_value = problem.cost if isinstance(problem.cost, Value) else None
     cost = problem.cost.data if cost_value is not None else np.asarray(problem.cost, dtype=np.float64)
-    lam = problem.regularization
-    with np.errstate(divide="ignore"):  # zero marginal weights are legal
-        log_mu = np.log(problem.mu)
-        log_nu = np.log(problem.nu)
-    f = np.zeros_like(problem.mu)
-    g = np.zeros_like(problem.nu)
-
-    def lse(m, axis):
-        peak = m.max(axis=axis, keepdims=True)
-        return (peak + np.log(np.exp(m - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-    err = np.inf
-    it = 0
-    plan = np.outer(problem.mu, problem.nu)
+    mu, nu = problem.mu, problem.nu
+    kernel = np.exp(-cost / problem.regularization)
+    v = np.ones_like(nu)
+    kv = kernel @ v
     for it in range(1, max_iters + 1):
-        f = lam * (log_mu - lse((g[None, :] - cost) / lam, axis=1))
-        g = lam * (log_nu - lse((f[:, None] - cost) / lam, axis=0))
-        plan = np.exp((f[:, None] + g[None, :] - cost) / lam)
-        err = max(np.abs(plan.sum(axis=1) - problem.mu).max(),
-                  np.abs(plan.sum(axis=0) - problem.nu).max())
+        u = mu / kv
+        ktu = u @ kernel
+        v = nu / ktu
+        kv = kernel @ v
+        # row sums of diag(u) K diag(v) are u * kv, column sums v * ktu
+        err = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
         if err < tolerance:
             break
     converged = bool(err < tolerance)
-    plan = _round_to_feasible(plan, problem.mu, problem.nu)
-    final_err = max(np.abs(plan.sum(axis=1) - problem.mu).max(),
-                    np.abs(plan.sum(axis=0) - problem.nu).max())
+    plan = _round_to_feasible(u[:, None] * kernel * v[None, :], mu, nu)
+    final_err = max(np.abs(plan.sum(axis=1) - mu).max(),
+                    np.abs(plan.sum(axis=0) - nu).max())
     if cost_value is not None:
         distance = (Value(plan) * cost_value).sum()
     else:

@@ -342,6 +342,17 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("attack", ['eval.scenarios=[{"kind": "clean"}]', "eval.epsilon=0"], "eval.epsilon"),
     ("report", ["report.iterations=[0]", 'report.checkpoints=[["a", "a.npz"]]'],
      "report.iterations"),
+    ("eval", ['eval.scenarios=[{"kind": "pgd", "iterations": "x"}]'],
+     "eval.scenarios[0].iterations"),
+    ("eval", ['eval.scenarios=[{"kind": "pgd", "epsilon": "x"}]'],
+     "eval.scenarios[0].epsilon"),
+    ("eval", ['eval.scenarios=[{"kind": "epsilon_sweep", "epsilons": ["x"]}]'],
+     "eval.scenarios[0].epsilons"),
+    ("eval", ['eval.scenarios=[{"kind": "iteration_sweep", "counts": [2.5]}]'],
+     "eval.scenarios[0].counts"),
+    ("eval", ['eval.epsilon="x"'], "eval.epsilon"),
+    ("report", ['report.iterations=["x"]', 'report.checkpoints=[["a", "a.npz"]]'],
+     "report.iterations"),
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):
@@ -352,6 +363,14 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
         argv += ["--set", expr]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+def test_sinkhorn_regularization_outside_the_kernel_range_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, micro_config_dict(out=str(tmp_path / "out")))
+    argv = ["train", "--config", path, "--set", "train.sinkhorn.regularization=0.001"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "train.sinkhorn" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_entries_record_the_spec_each_point_ran(tmp_path):

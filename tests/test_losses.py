@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from advspeaker import autodiff as ad
 from advspeaker import losses as ls
+from sinkhorn_log_domain import sinkhorn_log_domain
 
 
 def lp_uniform_bruteforce(cost: np.ndarray) -> float:
@@ -177,6 +178,65 @@ def test_sinkhorn_gradient_wrt_cost_is_the_plan():
     result = ls.sinkhorn_ot(ls.TransportProblem(mu, mu, cost, 0.01))
     ad.backward(result.distance)
     assert np.allclose(cost.grad, result.plan)
+
+
+def oracle_problems(count=60):
+    """Seeded problems for the log-domain oracle: square and rectangular
+    shapes in [2, 40], Dirichlet marginals with one zero weight on each
+    side, uniform [0, 2] costs, both regularizations, and budgets that
+    converge as well as budgets that run out."""
+    rng = np.random.default_rng(20)
+    for k in range(count):
+        n, m = (int(x) for x in rng.integers(2, 41, size=2))
+        if k % 2 == 0:
+            m = n
+        mu, nu = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        mu[rng.integers(n)] = 0.0
+        nu[rng.integers(m)] = 0.0
+        cost = rng.uniform(0.0, 2.0, size=(n, m))
+        lam = (0.01, 2.0 / 700.0)[k % 3 == 0]
+        max_iters = (5, 50, 1000, 5000)[k % 4]
+        yield ls.TransportProblem(mu / mu.sum(), nu / nu.sum(), cost, lam), max_iters
+
+
+def test_scaling_sinkhorn_matches_log_domain_oracle():
+    outcomes = set()
+    for problem, max_iters in oracle_problems():
+        fast = ls.sinkhorn_ot(problem, max_iters)
+        slow = sinkhorn_log_domain(problem, max_iters)
+        assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged)
+        assert np.abs(fast.plan - slow.plan).max() < 1e-12
+        assert abs(fast.distance - slow.distance) < 1e-12
+        outcomes.add(fast.converged)
+    assert outcomes == {True, False}
+
+
+def test_kernel_range_rule():
+    mu = np.array([0.5, 0.5])
+    cost = np.array([[0.0, 7.0], [7.0, 0.0]])
+    at_limit = ls.sinkhorn_ot(ls.TransportProblem(mu, mu, cost, 7.0 / ls.MAX_COST_RATIO))
+    assert np.isfinite(at_limit.plan).all() and at_limit.converged
+    with pytest.raises(ValueError, match="regularization"):
+        ls.TransportProblem(mu, mu, cost, 0.0099)
+    with pytest.raises(ValueError, match="regularization"):
+        ls.TransportProblem(mu, mu, -cost, 0.0099)
+    # cosine costs reach 2, so the smallest accepted setting stays in range
+    assert 2.0 / ls.MIN_REGULARIZATION <= ls.MAX_COST_RATIO
+    ls.SinkhornSettings(regularization=ls.MIN_REGULARIZATION)
+    for lam in (0.001, 0.0, -1.0):
+        with pytest.raises(ValueError, match="regularization"):
+            ls.SinkhornSettings(regularization=lam)
+
+
+@pytest.mark.parametrize("max_iters, tolerance", [(0, 1e-6), (-1, 1e-6), (10, 0.0),
+                                                   (10, -1e-6)])
+def test_sinkhorn_rejects_an_empty_budget(max_iters, tolerance):
+    mu = np.full(3, 1.0 / 3.0)
+    problem = ls.TransportProblem(mu, mu, np.ones((3, 3)), 0.01)
+    with pytest.raises(ValueError, match="max_iters"):
+        ls.sinkhorn_ot(problem, max_iters, tolerance)
+    with pytest.raises(ValueError, match="max_iters"):
+        ls.SinkhornSettings(max_iters=max_iters, tolerance=tolerance)
 
 
 def test_transport_problem_validation():
