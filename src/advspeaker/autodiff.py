@@ -24,10 +24,10 @@ import numpy as np
 OPSET = (
     "add", "sub", "neg", "mul", "div", "pow", "matmul",
     "conv1d", "maxpool1d", "relu", "batchnorm",
-    "softmax", "logsumexp", "log", "exp",
+    "logsumexp", "log",
     "sum", "mean", "amax", "clamp",
     "gather_rows", "frame_signal", "reshape", "permute",
-    "l2_norm", "cosine_similarity", "affine",
+    "l2_norm", "affine",
 )
 
 
@@ -91,7 +91,6 @@ class Value:
     def reshape(self, shape): return reshape(self, shape)
     def relu(self): return relu(self)
     def log(self): return log(self)
-    def exp(self): return exp(self)
 
     @property
     def T(self) -> "Value":
@@ -355,16 +354,6 @@ def log(a) -> Value:
     return _node(np.log(a.data), (a,), "log", bw)
 
 
-def exp(a) -> Value:
-    a = as_value(a)
-    data = np.exp(a.data)
-
-    def bw(out: Value):
-        _accum(a, out.grad * data)
-
-    return _node(data, (a,), "exp", bw)
-
-
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Value:
     a = as_value(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -413,19 +402,6 @@ def reduce_max(a, axis: int, keepdims: bool = False) -> Value:
         _accum(a, full)
 
     return _node(data, (a,), "amax", bw)
-
-
-def softmax(a, axis: int = -1) -> Value:
-    a = as_value(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(out: Value):
-        inner = (out.grad * s).sum(axis=axis, keepdims=True)
-        _accum(a, s * (out.grad - inner))
-
-    return _node(s, (a,), "softmax", bw)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Value:
@@ -558,12 +534,6 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
 def l2_norm(a, axis=None, keepdims: bool = False) -> Value:
     a = as_value(a)
     return power(reduce_sum(mul(a, a), axis=axis, keepdims=keepdims), 0.5)
-
-
-def cosine_similarity(a, b, axis: int = -1) -> Value:
-    a, b = as_value(a), as_value(b)
-    num = reduce_sum(mul(a, b), axis=axis)
-    return div(num, mul(l2_norm(a, axis=axis), l2_norm(b, axis=axis)))
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

@@ -5,7 +5,8 @@ driven by one JSON config (plus dotted --set overrides), owns its output
 directory through a lock file, and stamps artifacts with the config
 fingerprint and global seed.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing artifact.
+Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing or unreadable
+artifact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .config import (ConfigError, ExperimentConfig, ScenarioSection, apply_overr
                      config_from_dict, validate)
 from .data import (Corpus, CorpusError, ingest, load_corpus, save_manifest, synth_corpus,
                    write_wav)
-from .model import build, load_checkpoint
+from .model import CheckpointError, build, load_checkpoint
 from .training import fit
 
 EXIT_OK = 0
@@ -321,8 +322,6 @@ def make_parser() -> argparse.ArgumentParser:
                        metavar="K=V", help="dotted-path config override, repeatable")
         p.add_argument("--seed", type=int, default=None, help="override the global seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--deterministic", action="store_true",
-                       help="record deterministic mode in artifacts")
     return parser
 
 
@@ -344,8 +343,6 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.out is not None:
             config.output_dir = args.out
-        if args.deterministic:
-            config.deterministic = True
         violations, warnings_ = validate(config)
         for w in warnings_:
             print(f"warning: {w}", file=sys.stderr)
@@ -364,7 +361,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"error: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissingArtifactError, FileNotFoundError) as exc:
+    except (MissingArtifactError, FileNotFoundError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (NonFiniteError, FloatingPointError) as exc:

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON
@@ -18,38 +17,20 @@ from .frontend import FrontendConfig
 from .losses import LossWeights, SinkhornSettings
 from .model import SpeakerCNNConfig
 from .training import PAPER_LR_SCHEDULE, TrainConfig, default_train_attack
-from .util import fingerprint
+from .util import ConfigError, fingerprint, from_json, to_json
 
 
-class ConfigError(ValueError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+@dataclass(frozen=True)
+class CorpusSection(SynthConfig):
+    """Where utterances come from: the synthetic corpus (its generator
+    settings are the inherited fields) or a directory of WAV files."""
 
-
-@dataclass
-class CorpusSection:
     kind: str = "synthetic"              # "synthetic" | "wav_dir"
     root: str | None = None              # wav_dir only
     split_seed: int = 0                  # wav_dir only
-    num_speakers: int = 10
-    utterances_per_speaker: int = 40
-    duration_s: float = 1.0
-    sample_rate: int = 16000
-    seed: int = 100
-    rms: float = 0.05
-    noise_snr_db: float = 20.0
-    f0_range: tuple[float, float] = (110.0, 320.0)
-    harmonics: int = 5
-    tilt: float = 0.45
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            num_speakers=self.num_speakers,
-            utterances_per_speaker=self.utterances_per_speaker,
-            duration_s=self.duration_s, sample_rate=self.sample_rate,
-            seed=self.seed, rms=self.rms, noise_snr_db=self.noise_snr_db,
-            f0_range=tuple(self.f0_range), harmonics=self.harmonics, tilt=self.tilt)
+        return SynthConfig(**{f.name: getattr(self, f.name) for f in fields(SynthConfig)})
 
 
 @dataclass
@@ -102,131 +83,42 @@ class ExperimentConfig:
     report: ReportSection = field(default_factory=ReportSection)
 
     def to_dict(self) -> dict:
-        d = {
-            "seed": self.seed, "output_dir": self.output_dir,
-            "deterministic": self.deterministic,
-            "corpus": asdict(self.corpus),
-            "frontend": asdict(self.frontend),
-            "model": asdict(self.model),
-            "train": {
-                "epochs": self.train.epochs, "batch_size": self.train.batch_size,
-                "lr_schedule": [list(x) for x in self.train.lr_schedule],
-                "momentum": self.train.momentum, "w1": self.train.w1,
-                "w2": self.train.w2, "defense": self.train.defense,
-                "segment_length": self.train.segment_length,
-                "checkpoint_every": self.train.checkpoint_every,
-                "attack": {
-                    "beta": self.train.attack.weights.beta,
-                    "gamma": self.train.attack.weights.gamma,
-                    "zeta": self.train.attack.weights.zeta,
-                    "epsilon": self.train.attack.epsilon,
-                    "alpha": self.train.attack.alpha,
-                    "iterations": self.train.attack.iterations,
-                    "random_init": self.train.attack.random_init,
-                    "margin": self.train.attack.margin,
-                },
-                "sinkhorn": asdict(self.train.sinkhorn),
-            },
-            "eval": {
-                "batch_size": self.eval.batch_size, "split": self.eval.split,
-                "epsilon": self.eval.epsilon, "margin": self.eval.margin,
-                "seed": self.eval.seed,
-                "target_checkpoint": self.eval.target_checkpoint,
-                "source_checkpoint": self.eval.source_checkpoint,
-                "full_grid": self.eval.full_grid,
-                "scenarios": [asdict(s) for s in self.eval.scenarios],
-            },
-            "report": {
-                "checkpoints": [list(x) for x in self.report.checkpoints],
-                "iterations": list(self.report.iterations),
-            },
-        }
-        d["corpus"]["f0_range"] = list(d["corpus"]["f0_range"])
-        d["model"]["channels"] = list(d["model"]["channels"])
+        d = to_json(self)
+        attack = d["train"]["attack"]
+        attack.update(attack.pop("weights"))
         return d
 
     def fingerprint(self) -> str:
         return fingerprint(self.to_dict())
 
 
-def _dataclass_from(cls, payload: dict, context: str):
-    try:
-        return cls(**payload)
-    except TypeError as exc:
-        raise ConfigError([f"{context}: {exc}"]) from exc
-    except ValueError as exc:
-        raise ConfigError([f"{context}: {exc}"]) from exc
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The experiment a JSON document describes, on top of ``ExperimentConfig()``.
+
+    ``util.from_json`` checks every field against its annotation. The one
+    layout rule is ``train.attack``'s: its loss weights are written flat
+    beside the budget, and an unstated alpha follows epsilon and T.
+    """
     raw = copy.deepcopy(raw)
-    violations: list[str] = []
-
-    corpus_raw = raw.get("corpus", {})
-    if "f0_range" in corpus_raw:
-        corpus_raw["f0_range"] = tuple(corpus_raw["f0_range"])
-    model_raw = raw.get("model", {})
-    if "channels" in model_raw:
-        model_raw["channels"] = tuple(model_raw["channels"])
-    train_raw = raw.get("train", {})
-    attack_raw = train_raw.pop("attack", {})
-    sinkhorn_raw = train_raw.pop("sinkhorn", {})
-    eval_raw = raw.get("eval", {})
-    scenarios_raw = eval_raw.pop("scenarios", None)
-    report_raw = raw.get("report", {})
-
-    corpus = _dataclass_from(CorpusSection, corpus_raw, "corpus")
-    frontend = _dataclass_from(FrontendConfig, raw.get("frontend", {}), "frontend")
-    model = _dataclass_from(SpeakerCNNConfig, model_raw, "model")
+    attack = {}
+    if isinstance(raw, dict) and isinstance(raw.get("train"), dict):
+        attack = raw["train"].pop("attack", {})
+    config = from_json(ExperimentConfig(), raw)
+    if not isinstance(attack, dict) or "weights" in attack:
+        raise ConfigError([f"train.attack: must be an object with beta, gamma and zeta "
+                           f"written flat, got {attack!r}"])
     reference = default_train_attack()
-    beta, gamma, zeta = (float(w) for w in reference.weights.as_tuple())
-    weights = LossWeights(attack_raw.pop("beta", beta), attack_raw.pop("gamma", gamma),
-                          attack_raw.pop("zeta", zeta))
-    # an unstated alpha follows the resolved epsilon and iterations
-    attack = _dataclass_from(partial(replace, reference),
-                             {"alpha": None, **attack_raw, "weights": weights}, "train.attack")
-    sinkhorn = _dataclass_from(SinkhornSettings, sinkhorn_raw, "train.sinkhorn")
-    if "lr_schedule" in train_raw:
-        train_raw["lr_schedule"] = tuple((int(e), float(r)) for e, r in train_raw["lr_schedule"])
-    train_defaults = dict(epochs=30)
-    train_defaults.update(train_raw)
-    train = _dataclass_from(TrainConfig, dict(train_defaults, attack=attack,
-                                              sinkhorn=sinkhorn), "train")
-    scenarios = None
-    if scenarios_raw is not None:
-        scenarios = [_dataclass_from(ScenarioSection, s, f"eval.scenarios[{i}]")
-                     for i, s in enumerate(scenarios_raw)]
-    eval_section = _dataclass_from(EvalSection, eval_raw, "eval")
-    if scenarios is not None:
-        eval_section.scenarios = scenarios
-    if "checkpoints" in report_raw:
-        report_raw["checkpoints"] = [tuple(x) for x in report_raw["checkpoints"]]
-    report = _dataclass_from(ReportSection, report_raw, "report")
-
-    known = {"seed", "output_dir", "deterministic", "corpus", "frontend", "model",
-             "train", "eval", "report"}
-    for key in raw:
-        if key not in known:
-            violations.append(f"unknown top-level key {key!r}")
-    if violations:
-        raise ConfigError(violations)
-
-    return ExperimentConfig(
-        seed=int(raw.get("seed", 7)),
-        output_dir=str(raw.get("output_dir", "runs/experiment")),
-        deterministic=bool(raw.get("deterministic", True)),
-        corpus=corpus, frontend=frontend, model=model, train=train,
-        eval=eval_section, report=report)
+    weights = {f.name: attack.pop(f.name) for f in fields(LossWeights) if f.name in attack}
+    weights = from_json(reference.weights, weights, "train.attack")
+    attack = from_json(replace(reference, weights=weights), {"alpha": None, **attack},
+                       "train.attack")
+    return replace(config, train=replace(config.train, attack=attack))
 
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise
-    try:
-        raw = json.loads(text)
+        raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
     return config_from_dict(raw)
@@ -265,39 +157,10 @@ def apply_overrides(raw: dict, overrides) -> dict:
 # validation
 
 
-def _is_a(value, kind: type) -> bool:
-    """int for counts, float for budgets (an int is a valid float); never bool."""
-    return isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
-
-
-def _type_violations(config: ExperimentConfig) -> list[str]:
-    """Type-check the numeric fields ``validate`` compares, before it compares them."""
-    scalars = [("eval.epsilon", config.eval.epsilon, float)]
-    lists = [("report.iterations", config.report.iterations, int)]
-    for i, scenario in enumerate(config.eval.scenarios):
-        where = f"eval.scenarios[{i}]"
-        if scenario.iterations is not None:
-            scalars.append((f"{where}.iterations", scenario.iterations, int))
-        if scenario.epsilon is not None:
-            scalars.append((f"{where}.epsilon", scenario.epsilon, float))
-        lists += [(f"{where}.epsilons", scenario.epsilons, float),
-                  (f"{where}.counts", scenario.counts, int)]
-    noun = {float: ("a number", "numbers"), int: ("an integer", "integers")}
-    violations = [f"{name}: must be {noun[kind][0]}, got {value!r}"
-                  for name, value, kind in scalars if not _is_a(value, kind)]
-    violations += [f"{name}: must be a list of {noun[kind][1]}, got {values!r}"
-                   for name, values, kind in lists
-                   if not isinstance(values, (list, tuple))
-                   or not all(_is_a(v, kind) for v in values)]
-    return violations
-
-
 def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     """(violations, warnings). Violations make the config unusable; warnings
     flag values that diverge from the reference experimental defaults."""
-    violations = _type_violations(config)
-    if violations:
-        return violations, []
+    violations: list[str] = []
     warnings_: list[str] = []
 
     if config.corpus.kind not in ("synthetic", "wav_dir"):

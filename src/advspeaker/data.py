@@ -9,6 +9,7 @@ harmonic phases and additive noise.
 
 from __future__ import annotations
 
+import json
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import fingerprint, rng_for, stable_int
+from .util import fingerprint, from_json, rng_for, stable_int, to_json
 
 
 class CorpusError(ValueError):
@@ -119,21 +120,6 @@ class CorpusManifest:
     fingerprint: str
     rejects: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": [vars(e) for e in self.entries],
-            "num_speakers": self.num_speakers,
-            "sample_rate": self.sample_rate,
-            "fingerprint": self.fingerprint,
-            "rejects": self.rejects,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusManifest":
-        return cls(entries=[ManifestEntry(**e) for e in d["entries"]],
-                   num_speakers=d["num_speakers"], sample_rate=d["sample_rate"],
-                   fingerprint=d["fingerprint"], rejects=list(d["rejects"]))
-
 
 def ingest(root, split_seed: int = 0) -> CorpusManifest:
     """Scan a directory of per-speaker subdirectories of WAV files.
@@ -181,15 +167,11 @@ def ingest(root, split_seed: int = 0) -> CorpusManifest:
 
 
 def save_manifest(path, manifest: CorpusManifest) -> None:
-    import json
-
-    Path(path).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> CorpusManifest:
-    import json
-
-    return CorpusManifest.from_dict(json.loads(Path(path).read_text()))
+    return from_json(CorpusManifest, json.loads(Path(path).read_text()))
 
 
 def load_corpus(manifest: CorpusManifest) -> Corpus:
@@ -257,19 +239,7 @@ def synth_corpus(config: SynthConfig) -> Corpus:
             split = "train" if u < n_train else "test"
             utterances.append(Utterance(samples, config.sample_rate, speaker, split))
 
-    digest = fingerprint({
-        "kind": "synthetic",
-        "num_speakers": config.num_speakers,
-        "utterances_per_speaker": config.utterances_per_speaker,
-        "duration_s": config.duration_s,
-        "sample_rate": config.sample_rate,
-        "seed": config.seed,
-        "rms": config.rms,
-        "noise_snr_db": config.noise_snr_db,
-        "f0_range": list(config.f0_range),
-        "harmonics": config.harmonics,
-        "tilt": config.tilt,
-    })
+    digest = fingerprint({"kind": "synthetic", **to_json(config)})
     return Corpus(utterances, config.sample_rate, digest)
 
 

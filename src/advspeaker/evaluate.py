@@ -22,7 +22,7 @@ from .data import Corpus, batch_iter
 from .losses import LossWeights, SinkhornSettings
 from .model import ModelParams, forward_logits
 from .training import TrainConfig, fit
-from .util import fingerprint
+from .util import fingerprint, to_json
 
 
 @dataclass
@@ -36,11 +36,7 @@ class ReportEntry:
     snr_min_db: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "accuracy": round(self.accuracy, 2),
-            "attack": self.attack, "source": self.source, "seed": self.seed,
-            "snr_mean_db": self.snr_mean_db, "snr_min_db": self.snr_min_db,
-        }
+        return dict(to_json(self), accuracy=round(self.accuracy, 2))
 
 
 @dataclass
@@ -90,11 +86,7 @@ class RobustnessReport:
 def attack_dict(spec: AttackSpec | None) -> dict | None:
     if spec is None:
         return None
-    return {
-        "weights": list(spec.weights.as_tuple()), "epsilon": spec.epsilon,
-        "alpha": spec.alpha, "iterations": spec.iterations,
-        "random_init": spec.random_init, "margin": spec.margin,
-    }
+    return dict(to_json(spec), weights=list(spec.weights.as_tuple()))
 
 
 def accuracy_under_attack(target: ModelParams, corpus: Corpus,

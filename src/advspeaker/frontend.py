@@ -38,11 +38,6 @@ class FrontendConfig:
         if self.log_floor <= 0:
             raise ValueError("log_floor must be > 0")
 
-    def num_frames(self, num_samples: int) -> int:
-        if num_samples < self.window_length:
-            raise ValueError(f"waveform length {num_samples} < window {self.window_length}")
-        return (num_samples - self.window_length) // self.hop_length + 1
-
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)

@@ -10,13 +10,14 @@ the raw waveform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
 from .frontend import FrontendConfig, FrontendOps, log_mel
+from .util import ConfigError, from_json, to_json
 
 CHECKPOINT_VERSION = 1
 
@@ -168,22 +169,8 @@ def save_checkpoint(path, params: ModelParams, *, config_fingerprint: str = "",
         "epoch": epoch,
         "config_fingerprint": config_fingerprint,
         "corpus_fingerprint": corpus_fingerprint,
-        "model": {
-            "num_stacks": params.model_config.num_stacks,
-            "channels": list(params.model_config.channels),
-            "kernel_size": params.model_config.kernel_size,
-            "pool_every": params.model_config.pool_every,
-            "pool_width": params.model_config.pool_width,
-            "num_speakers": params.model_config.num_speakers,
-        },
-        "frontend": {
-            "sample_rate": params.frontend_config.sample_rate,
-            "window_length": params.frontend_config.window_length,
-            "hop_length": params.frontend_config.hop_length,
-            "fft_size": params.frontend_config.fft_size,
-            "mel_bins": params.frontend_config.mel_bins,
-            "log_floor": params.frontend_config.log_floor,
-        },
+        "model": to_json(params.model_config),
+        "frontend": to_json(params.frontend_config),
         "extra": extra or {},
     }
     payload = {f"arr__{k}": v for k, v in params.arrays.items()}
@@ -205,17 +192,29 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if "meta_json" not in payload:
         raise CheckpointError(f"{path} is not a model checkpoint")
-    meta = json.loads(payload.pop("meta_json").tobytes().decode())
+    try:
+        meta = json.loads(payload.pop("meta_json").tobytes().decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CheckpointError(f"{path}: unreadable meta: {exc}") from exc
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
     arrays = {k[len("arr__"):]: v for k, v in payload.items() if k.startswith("arr__")}
     running = {k[len("run__"):]: v for k, v in payload.items() if k.startswith("run__")}
     velocity = {k[len("vel__"):]: v for k, v in payload.items() if k.startswith("vel__")}
-    model_config = SpeakerCNNConfig(
-        num_stacks=meta["model"]["num_stacks"], channels=tuple(meta["model"]["channels"]),
-        kernel_size=meta["model"]["kernel_size"], pool_every=meta["model"]["pool_every"],
-        pool_width=meta["model"]["pool_width"], num_speakers=meta["model"]["num_speakers"])
-    frontend_config = FrontendConfig(**meta["frontend"])
+    model_config = _config_from_meta(path, meta, "model", SpeakerCNNConfig)
+    frontend_config = _config_from_meta(path, meta, "frontend", FrontendConfig)
     params = ModelParams(model_config, frontend_config, arrays, running, meta["seed"])
     meta["velocity"] = velocity or None
     return params, meta
+
+
+def _config_from_meta(path, meta: dict, key: str, cls):
+    """The ``cls`` recorded under ``meta[key]``, which must state every field."""
+    block = meta.get(key)
+    missing = [f.name for f in fields(cls) if not isinstance(block, dict) or f.name not in block]
+    if missing:
+        raise CheckpointError(f"{path}: meta {key!r} lacks {', '.join(missing)}")
+    try:
+        return from_json(cls, block, key)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: meta {exc}") from exc

@@ -23,6 +23,7 @@ from .autodiff import NonFiniteError, Value
 from .data import Corpus, batch_iter
 from .losses import SinkhornSettings, ce_loss
 from .model import ModelParams, forward_logits, save_checkpoint
+from .util import to_json
 
 # The named attack each single-objective defense trains against; HAT trains
 # against the configured attack as given, standard training against none.
@@ -115,17 +116,8 @@ class EpochRecord:
     attack_weights: tuple[float, float, float] | None
     epsilon: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch, "lr": self.lr, "clean_loss": self.clean_loss,
-            "adv_loss": self.adv_loss, "train_accuracy": self.train_accuracy,
-            "wall_time_s": self.wall_time_s, "defense": self.defense,
-            "attack_weights": list(self.attack_weights) if self.attack_weights else None,
-            "epsilon": self.epsilon,
-        }
-
     def stable_dict(self) -> dict:
-        d = self.to_dict()
+        d = to_json(self)
         d.pop("wall_time_s")
         return d
 
@@ -239,7 +231,7 @@ def fit(params: ModelParams, corpus: Corpus, config: TrainConfig, *, seed: int,
         record = train_epoch(params, velocity, corpus, config, epoch=epoch, seed=seed)
         records.append(record)
         if log_path is not None:
-            payload = dict(record.to_dict(), config_fingerprint=config_fingerprint,
+            payload = dict(to_json(record), config_fingerprint=config_fingerprint,
                            corpus_fingerprint=corpus.fingerprint, seed=seed)
             with open(log_path, "a") as fh:
                 fh.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -1,9 +1,16 @@
-"""Small shared helpers: canonical hashing and deterministic RNG derivation."""
+"""Small shared helpers: canonical hashing, deterministic RNG derivation, and
+the JSON form of the dataclasses that configs, checkpoints and logs record.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import math
+import types
+import typing
 
 import numpy as np
 
@@ -26,3 +33,92 @@ def rng_for(*keys) -> np.random.Generator:
     """Generator seeded from a tuple of ints/strings, independent of order of use."""
     seeds = [stable_int(k) if isinstance(k, str) else int(k) for k in keys]
     return np.random.default_rng(seeds)
+
+
+# ---------------------------------------------------------------------------
+# dataclasses <-> JSON
+
+class ConfigError(ValueError):
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
+
+
+def to_json(value):
+    """A dataclass value as JSON-ready dicts and lists: one key per field,
+    tuples written as lists, numbers kept as the int or float they are."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
+def from_json(default, raw, path: str = ""):
+    """The dataclass ``default`` with the JSON object ``raw`` on top.
+
+    ``default`` is an instance, whose field values are the starting point,
+    or a class, whose own field defaults are. Unknown keys are rejected and
+    each value is checked against its field's annotation: ``int``, ``float``
+    (an int is a valid float and stays an int), ``str``, ``bool``,
+    ``X | None``, fixed and ``...`` tuples (built from lists), lists, and
+    nested dataclasses, which start from the default's value. Any violation
+    raises ConfigError naming the field's dotted JSON path.
+    """
+    if isinstance(default, type):
+        return _build(default, {}, raw, path)
+    values = {f.name: getattr(default, f.name) for f in dataclasses.fields(default) if f.init}
+    return _build(type(default), values, raw, path)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+def _build(cls, values: dict, raw, path: str):
+    if not isinstance(raw, dict):
+        raise ConfigError([f"{path or 'config'}: must be an object, got {raw!r}"])
+    types_ = _field_types(cls)
+    for key, value in raw.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in types_:
+            raise ConfigError([f"{where}: unknown key"])
+        values[key] = _value(types_[key], value, where, values.get(key))
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"{path or 'config'}: {exc}"]) from exc
+
+
+_NOUNS = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
+
+
+def _value(hint, value, where: str, default=None):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return from_json(hint if default is None else default, value, where)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _value(inner, value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError([f"{where}: must be a list, got {value!r}"])
+        if origin is list or args[-1] is Ellipsis:
+            items = [args[0]] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError([f"{where}: must have {len(args)} items, got {value!r}"])
+        else:
+            items = args
+        built = [_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))]
+        return built if origin is list else tuple(built)
+    if hint is float:
+        ok = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    else:
+        ok = isinstance(value, hint)
+    if not ok or (hint in (int, float) and isinstance(value, bool)):
+        raise ConfigError([f"{where}: must be {_NOUNS[hint]}, got {value!r}"])
+    return value

@@ -111,12 +111,6 @@ def _case_batchnorm(rng):
     return loss, rng.normal(size=(4, 3, 5))
 
 
-@_register("softmax")
-def _case_softmax(rng):
-    w = ad.Value(rng.normal(size=(2, 5)))
-    return lambda x: (ad.softmax(x, axis=1) * w).sum(), rng.normal(size=(2, 5))
-
-
 @_register("logsumexp")
 def _case_logsumexp(rng):
     return lambda x: ad.logsumexp(x, axis=1).sum(), rng.normal(size=(3, 5))
@@ -125,11 +119,6 @@ def _case_logsumexp(rng):
 @_register("log")
 def _case_log(rng):
     return lambda x: ad.log(x).sum(), rng.uniform(0.5, 2.0, size=(3, 4))
-
-
-@_register("exp")
-def _case_exp(rng):
-    return lambda x: ad.exp(x).sum(), rng.normal(size=(3, 4))
 
 
 @_register("sum")
@@ -180,12 +169,6 @@ def _case_permute(rng):
 @_register("l2_norm")
 def _case_l2_norm(rng):
     return lambda x: ad.l2_norm(x, axis=1).sum(), _away_from_zero(rng.normal(size=(3, 4)))
-
-
-@_register("cosine_similarity")
-def _case_cosine(rng):
-    other = ad.Value(rng.normal(size=(3, 4)) + 0.5)
-    return lambda x: ad.cosine_similarity(x, other, axis=1).sum(), rng.normal(size=(3, 4)) + 0.5
 
 
 # hop 4 does not divide window 9, fft_size 11 is odd and longer than the

@@ -17,11 +17,6 @@ def test_relu_values():
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
-def test_softmax_uniform():
-    out = ad.softmax(ad.Value([0.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(out.data, 0.25)
-
-
 def test_conv1d_hand_example():
     # conv of [1,2,3] with kernel [1,1], valid: [1+2, 2+3] = [3, 5]
     x = ad.Value(np.array([[[1.0, 2.0, 3.0]]]))
@@ -200,7 +195,7 @@ def test_deterministic_forward_backward():
         rng = rng_for(33)
         x = ad.Value(rng.normal(size=(4, 6)), requires_grad=True)
         w = ad.Value(rng.normal(size=(6, 3)), requires_grad=True)
-        loss = (ad.softmax(ad.matmul(x, w), axis=1) ** 2.0).sum()
+        loss = (ad.logsumexp(ad.matmul(x, w), axis=1) ** 2.0).sum()
         ad.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 

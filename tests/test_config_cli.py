@@ -108,6 +108,50 @@ def test_overrides_parse_json_values():
         cfg.parse_override("no-equals-sign")
 
 
+def _leaves(node, name=""):
+    """(JSON path, key path, value) of every leaf; an empty list counts as one."""
+    if isinstance(node, dict):
+        children = [(f"{name}.{k}" if name else k, k, v) for k, v in node.items()]
+    elif isinstance(node, list) and node:
+        children = [(f"{name}[{i}]", i, v) for i, v in enumerate(node)]
+    else:
+        return [(name, (), node)]
+    return [(path, (key, *keys), leaf) for child_name, key, child in children
+            for path, keys, leaf in _leaves(child, child_name)]
+
+
+HAT_LEAVES = list(_leaves(cfg.desk_preset("hat").to_dict()))
+
+
+def _wrong_type(value):
+    """A string for a number or a list, a number for a string, 1 for a bool, [1] for null."""
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float, list)):
+        return "x"
+    if isinstance(value, str):
+        return 1
+    assert value is None
+    return [1]
+
+
+def test_every_preset_leaf_is_walked():
+    assert len(HAT_LEAVES) == 102
+    assert "eval.scenarios[2].iterations" in {name for name, _, _ in HAT_LEAVES}
+
+
+@pytest.mark.parametrize("name, keys, value", HAT_LEAVES, ids=[n for n, _, _ in HAT_LEAVES])
+def test_every_field_is_type_checked_naming_its_json_path(name, keys, value):
+    raw = cfg.desk_preset("hat").to_dict()
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = _wrong_type(value)
+    with pytest.raises(cfg.ConfigError) as caught:
+        cfg.config_from_dict(raw)
+    assert name in str(caught.value)
+
+
 def test_round_trip_through_dict():
     config = cfg.config_from_dict(micro_config_dict("hat"))
     again = cfg.config_from_dict(config.to_dict())
@@ -147,6 +191,41 @@ def test_cli_eval_without_checkpoint_is_missing_artifact(tmp_path):
     raw["eval"]["target_checkpoint"] = str(tmp_path / "absent.npz")
     path = write_config(tmp_path, raw)
     assert cli.main(["eval", "--config", path]) == cli.EXIT_MISSING
+
+
+def _write_broken_checkpoint(path, broken):
+    """A non-npz file, or a micro checkpoint with a broken meta block."""
+    from advspeaker import model as mdl
+
+    if broken == "text":
+        path.write_text("not an npz archive\n")
+        return
+    config = cfg.config_from_dict(micro_config_dict())
+    mdl.save_checkpoint(path, mdl.build(config.model, config.frontend, 7))
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    meta = json.loads(payload["meta_json"].tobytes())
+    del meta["model"]["kernel_size"]
+    text = json.dumps(meta) if broken == "no-kernel-size" else "not json"
+    payload["meta_json"] = np.frombuffer(text.encode(), dtype=np.uint8)
+    np.savez(path, **payload)
+
+
+@pytest.mark.parametrize("command, broken", [
+    ("eval", "text"), ("attack", "text"), ("report", "text"),
+    ("eval", "no-kernel-size"), ("eval", "meta-not-json")])
+def test_cli_unreadable_checkpoint_is_exit_4_naming_the_path(tmp_path, capsys, command,
+                                                             broken):
+    checkpoint = tmp_path / "broken.npz"
+    _write_broken_checkpoint(checkpoint, broken)
+    raw = micro_config_dict(out=str(tmp_path / "out"))
+    raw["eval"]["target_checkpoint"] = str(checkpoint)
+    raw["report"]["checkpoints"] = [["broken", str(checkpoint)]]
+    assert cli.main([command, "--config", write_config(tmp_path, raw)]) == cli.EXIT_MISSING
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err
+    if broken == "no-kernel-size":
+        assert "kernel_size" in err
 
 
 def test_cli_train_then_eval_then_attack(tmp_path, capsys):
@@ -353,6 +432,9 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("eval", ['eval.epsilon="x"'], "eval.epsilon"),
     ("report", ['report.iterations=["x"]', 'report.checkpoints=[["a", "a.npz"]]'],
      "report.iterations"),
+    ("train", ["train.epochs=2.5"], "train.epochs"),
+    ("train", ['train.attack.beta="x"'], "train.attack.beta"),
+    ("eval", ['eval.batch_size="x"'], "eval.batch_size"),
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):
@@ -393,3 +475,36 @@ def test_sweep_entries_record_the_spec_each_point_ran(tmp_path):
         PGD10, epsilon=0.01, alpha=0.01 / 5, iterations=2)
     assert attacks["iteration_sweep:pgd10@T=1"] == dict(PGD10, alpha=0.002, iterations=1)
     assert attacks["iteration_sweep:pgd10@T=3"] == dict(PGD10, iterations=3)
+
+
+# --- bytes the benchmark depends on ----------------------------------------
+# The benchmark's reference digests embed the desk-standard config
+# fingerprint, the corpus fingerprint and EpochRecord.stable_dict, and its
+# desk-eval set-up round-trips a checkpoint; these literals pin the bytes.
+
+PRESET_FINGERPRINTS = {
+    "desk-standard": "9beeea3f777d7557", "desk-fgsm-at": "da2e4877acd49635",
+    "desk-pgd-at": "aed2248eb4d360c9", "desk-fs-at": "bf7b716ad330f3ec",
+    "desk-hat": "e9460bb63660c928", "paper-hat": "691b668ace33a505",
+}
+
+
+def test_serialized_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    from advspeaker import data as dt
+    from advspeaker import model as mdl
+
+    for name, factory in cfg.BUILTIN_PRESETS.items():
+        assert factory().fingerprint() == PRESET_FINGERPRINTS[name], name
+        assert cfg.load_config(PRESET_DIR / f"{name}.json").fingerprint() \
+            == PRESET_FINGERPRINTS[name], name
+    hat = cfg.desk_preset("hat")
+    assert dt.synth_corpus(hat.corpus.synth_config()).fingerprint == "c16f7580e8ebe819"
+    path = tmp_path / "ckpt.npz"
+    mdl.save_checkpoint(path, mdl.build(hat.model, hat.frontend, 7),
+                        config_fingerprint="a", corpus_fingerprint="b", epoch=3)
+    with np.load(path) as saved:
+        meta_json = saved["meta_json"].tobytes()
+    assert hashlib.sha256(meta_json).hexdigest()[:16] == "653c1ad7c11a7159"
+    assert cfg.config_from_dict({}).fingerprint() == cfg.ExperimentConfig().fingerprint()

@@ -5,6 +5,7 @@ import pytest
 
 from advspeaker import data as dt
 from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel
+from advspeaker.util import from_json, to_json
 
 SMALL_SYNTH = dt.SynthConfig(num_speakers=3, utterances_per_speaker=10,
                              duration_s=0.2, sample_rate=4000, seed=5)
@@ -84,7 +85,7 @@ def test_load_corpus_round_trip(tmp_path):
 def test_manifest_dict_round_trip(tmp_path):
     root = _make_tree(tmp_path, {"alice": 4, "bob": 4})
     manifest = dt.ingest(root)
-    clone = dt.CorpusManifest.from_dict(manifest.to_dict())
+    clone = from_json(dt.CorpusManifest, to_json(manifest))
     assert clone.fingerprint == manifest.fingerprint
     assert [vars(e) for e in clone.entries] == [vars(e) for e in manifest.entries]
 
