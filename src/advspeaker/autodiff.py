@@ -8,7 +8,7 @@ tape and cost nothing at backward time.
 
 Conventions baked in here:
   * everything is float64,
-  * ReLU/clamp subgradient at the boundary is 0,
+  * the ReLU subgradient at 0 is 0,
   * max / max-pool ties route the gradient to the lowest index,
   * ``backward`` only accepts scalar (size-1) losses.
 """
@@ -25,8 +25,8 @@ OPSET = (
     "add", "sub", "neg", "mul", "div", "pow", "matmul",
     "conv1d", "maxpool1d", "relu", "batchnorm",
     "logsumexp", "log",
-    "sum", "mean", "amax", "clamp",
-    "gather_rows", "frame_signal", "reshape", "permute",
+    "sum", "mean", "amax",
+    "gather_rows", "reshape", "permute",
     "l2_norm", "affine",
 )
 
@@ -303,20 +303,6 @@ def overlap_add(frames: np.ndarray, length: int, hop_length: int) -> np.ndarray:
     return out
 
 
-def frame_signal(x, window_length: int, hop_length: int) -> Value:
-    """Slice (n, T) signals into overlapping frames (n, F, window_length)."""
-    x = as_value(x)
-    if x.ndim != 2:
-        raise ShapeError("frame_signal", f"expected (n, T), got {x.shape}")
-    if x.shape[1] < window_length:
-        raise ShapeError("frame_signal", f"signal length {x.shape[1]} < window {window_length}")
-
-    def bw(out: Value):
-        _accum(x, overlap_add(out.grad, x.shape[1], hop_length))
-
-    return _node(frames_view(x.data, window_length, hop_length).copy(), (x,), "frame_signal", bw)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and reductions
 
@@ -328,21 +314,6 @@ def relu(a) -> Value:
         _accum(a, out.grad * mask)
 
     return _node(np.where(mask, a.data, 0.0), (a,), "relu", bw)
-
-
-def clamp(a, lo: float | None = None, hi: float | None = None) -> Value:
-    a = as_value(a)
-    data = np.clip(a.data, lo, hi)
-    mask = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        mask &= a.data > lo
-    if hi is not None:
-        mask &= a.data < hi
-
-    def bw(out: Value):
-        _accum(a, out.grad * mask)
-
-    return _node(data, (a,), "clamp", bw)
 
 
 def log(a) -> Value:

@@ -5,8 +5,8 @@ driven by one JSON config (plus dotted --set overrides), owns its output
 directory through a lock file, and stamps artifacts with the config
 fingerprint and global seed.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing or unreadable
-artifact.
+Exit codes: 0 success, 2 config error (a checkpoint trained on another corpus
+included), 3 numeric failure, 4 missing or unreadable artifact.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
-from .attacks import ATTACKS, AttackSpec, attack_spec, generate, model_forward_fn, spec_with
+from .attacks import ATTACKS, AttackSpec, attack_spec, model_forward_fn, spec_with
 from .autodiff import NonFiniteError
 from .config import (ConfigError, ExperimentConfig, ScenarioSection, apply_overrides,
                      config_from_dict, validate)
@@ -35,10 +35,6 @@ EXIT_MISSING = 4
 
 # The multi-step attacks of the `report` comparison table, one column per T.
 REPORT_ATTACKS = ("pgd", "cw", "fs")
-
-
-class MissingArtifactError(FileNotFoundError):
-    pass
 
 
 class OutputLock:
@@ -76,13 +72,26 @@ def build_corpus(config: ExperimentConfig) -> Corpus:
     return corpus
 
 
-def _load_checkpoint_or_missing(path_str: str | None, what: str):
+def _load_checkpoint_or_missing(path_str: str | None, what: str, corpus: Corpus):
+    """The checkpoint's parameters, refused unless it was trained on ``corpus``."""
     if not path_str:
         raise ConfigError([f"{what}: no checkpoint path configured"])
     path = Path(path_str)
     if not path.exists():
-        raise MissingArtifactError(f"{what}: checkpoint {path} does not exist")
-    return load_checkpoint(path)
+        raise FileNotFoundError(f"{what}: checkpoint {path} does not exist")
+    params, meta = load_checkpoint(path)
+    if meta["corpus_fingerprint"] and meta["corpus_fingerprint"] != corpus.fingerprint:
+        raise ConfigError([
+            f"{what}: checkpoint {path} was trained on a different corpus "
+            f"({meta['corpus_fingerprint']} != {corpus.fingerprint})"])
+    return params
+
+
+def _eval_kwargs(config: ExperimentConfig) -> dict:
+    return dict(batch_size=config.eval.batch_size,
+                segment_length=config.train.segment_length,
+                seed=config.eval.seed, split=config.eval.split,
+                sinkhorn=config.train.sinkhorn)
 
 
 def _scenario_spec(scenario, eval_cfg) -> AttackSpec | None:
@@ -100,6 +109,18 @@ def _scenario_name(scenario, spec: AttackSpec | None) -> str:
         suffix = "" if ATTACKS[scenario.kind].one_step else str(spec.iterations)
         return f"{scenario.kind}{suffix}"
     return f"{scenario.kind}:{scenario.attack}{spec.iterations}"
+
+
+def _cells(scenario, eval_cfg) -> list[tuple[float | int | None, str, AttackSpec | None]]:
+    """(sweep point or None, report entry name, spec) for each entry the scenario gives."""
+    spec = _scenario_spec(scenario, eval_cfg)
+    name = _scenario_name(scenario, spec)
+    if scenario.kind == "epsilon_sweep":
+        return [(e, f"{name}@eps={e:g}", spec_with(spec, epsilon=e))
+                for e in map(float, scenario.epsilons)]
+    if scenario.kind == "iteration_sweep":
+        return [(t, f"{name}@T={t}", spec_with(spec, iterations=t)) for t in scenario.counts]
+    return [(None, name, spec)]
 
 
 def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
@@ -122,62 +143,39 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
-    params, meta = _load_checkpoint_or_missing(config.eval.target_checkpoint,
-                                               "eval.target_checkpoint")
     corpus = build_corpus(config)
-    if meta["corpus_fingerprint"] and meta["corpus_fingerprint"] != corpus.fingerprint:
-        raise ConfigError([
-            "eval: checkpoint was trained on a different corpus "
-            f"({meta['corpus_fingerprint']} != {corpus.fingerprint})"])
+    params = _load_checkpoint_or_missing(config.eval.target_checkpoint,
+                                         "eval.target_checkpoint", corpus)
     source_params = None
     if config.eval.source_checkpoint:
-        source_params, _ = _load_checkpoint_or_missing(config.eval.source_checkpoint,
-                                                       "eval.source_checkpoint")
-    fp = config.fingerprint()
+        source_params = _load_checkpoint_or_missing(config.eval.source_checkpoint,
+                                                    "eval.source_checkpoint", corpus)
+    fp, seed, kwargs = config.fingerprint(), config.eval.seed, _eval_kwargs(config)
     report = ev.RobustnessReport(
         target_name=str(config.eval.target_checkpoint), config_fingerprint=fp,
         corpus_fingerprint=corpus.fingerprint, global_seed=config.seed)
-    kwargs = dict(batch_size=config.eval.batch_size,
-                  segment_length=config.train.segment_length,
-                  seed=config.eval.seed, split=config.eval.split)
     curves_csv: list[str] = []
     for scenario in config.eval.scenarios:
-        spec = _scenario_spec(scenario, config.eval)
-        name = _scenario_name(scenario, spec)
-        if scenario.kind == "epsilon_sweep":
-            curve = ev.epsilon_sweep(params, corpus, scenario.epsilons, spec, **kwargs)
-            curves_csv.append(ev.curve_csv(
-                curve, f"{scenario.attack}{spec.iterations}", config.eval.seed,
-                header_note=f"epsilon sweep; fingerprint={fp} seed={config.seed}"))
-            for eps, acc in curve:
-                report.entries.append(ev.ReportEntry(
-                    f"{name}@eps={eps:g}", acc, ev.attack_dict(spec_with(spec, epsilon=eps)),
-                    None, config.eval.seed))
-            continue
-        if scenario.kind == "iteration_sweep":
-            curve = ev.iteration_sweep(params, corpus, scenario.counts, spec, **kwargs)
-            curves_csv.append(ev.curve_csv(
-                curve, scenario.attack, config.eval.seed,
-                header_note=f"iteration sweep; fingerprint={fp} seed={config.seed}"))
-            for t, acc in curve:
-                report.entries.append(ev.ReportEntry(
-                    f"{name}@T={t}", acc, ev.attack_dict(spec_with(spec, iterations=t)),
-                    None, config.eval.seed))
-            continue
+        source, source_name = None, None
         if scenario.kind == "transfer":
-            if source_params is None:
-                raise ConfigError(["eval: transfer scenario without source_checkpoint"])
-            acc = ev.transfer_eval(source_params, params, corpus, spec, **kwargs)
+            source, source_name = source_params, str(config.eval.source_checkpoint)
+        curve = []
+        for point, name, spec in _cells(scenario, config.eval):
+            acc, snr = ev.accuracy_under_attack(params, corpus, spec, source=source, **kwargs)
+            finite = snr[np.isfinite(snr)]
             report.entries.append(ev.ReportEntry(
-                name, acc, ev.attack_dict(spec), str(config.eval.source_checkpoint),
-                config.eval.seed))
-            continue
-        acc, snr = ev.accuracy_under_attack(params, corpus, spec, **kwargs)
-        finite = snr[np.isfinite(snr)] if snr.size else snr
-        report.entries.append(ev.ReportEntry(
-            name, acc, ev.attack_dict(spec), None, config.eval.seed,
-            snr_mean_db=float(finite.mean()) if finite.size else None,
-            snr_min_db=float(finite.min()) if finite.size else None))
+                name, acc, ev.attack_dict(spec), source_name, seed,
+                snr_mean_db=float(finite.mean()) if finite.size else None,
+                snr_min_db=float(finite.min()) if finite.size else None))
+            if point is not None:
+                curve.append((point, acc))
+        if curve:
+            label = scenario.attack
+            if scenario.kind == "epsilon_sweep":
+                label += str(_scenario_spec(scenario, config.eval).iterations)
+            curves_csv.append(ev.curve_csv(
+                curve, label, seed, header_note=f"{scenario.kind.replace('_', ' ')}; "
+                                                f"fingerprint={fp} seed={config.seed}"))
 
     (out_dir / "report.jsonl").write_text(report.to_jsonl())
     (out_dir / "report.txt").write_text(report.render_table())
@@ -195,34 +193,27 @@ def cmd_attack(config: ExperimentConfig, out_dir: Path) -> int:
     if spec is None:
         raise ConfigError([f"eval.epsilon: the {scenario.kind} scenario has a zero budget, "
                            "so attack has nothing to generate"])
-    params, _ = _load_checkpoint_or_missing(config.eval.target_checkpoint,
-                                            "eval.target_checkpoint")
     corpus = build_corpus(config)
-    from .data import batch_iter
-
+    params = _load_checkpoint_or_missing(config.eval.target_checkpoint,
+                                         "eval.target_checkpoint", corpus)
     wav_dir = out_dir / "adv"
     wav_dir.mkdir(parents=True, exist_ok=True)
     stats = []
-    index = 0
-    for batch_index, (x, y) in enumerate(batch_iter(
-            corpus, config.eval.batch_size, config.train.segment_length,
-            seed=config.eval.seed, epoch=0, split=config.eval.split, train=False)):
-        adv = generate(model_forward_fn(params), x, y, spec, mode="eval",
-                       seed=(config.eval.seed, batch_index, 1))
+    for x, y, adv in ev.attack_batches(model_forward_fn(params), corpus, spec,
+                                       **_eval_kwargs(config)):
         for row in range(x.shape[0]):
-            name = f"adv_{index:04d}_spk{y[row]:03d}.wav"
+            name = f"adv_{len(stats):04d}_spk{y[row]:03d}.wav"
             write_wav(wav_dir / name, adv.x_adv[row], corpus.sample_rate)
             stats.append({"file": name, "label": int(y[row]),
                           "snr_db": None if np.isinf(adv.snr_db[row])
                           else float(adv.snr_db[row])})
-            index += 1
     payload = {
         "fingerprint": config.fingerprint(), "seed": config.seed,
         "attack": ev.attack_dict(spec), "linf_budget": spec.epsilon,
         "samples": stats,
     }
     (out_dir / "snr_stats.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {index} adversarial waveforms -> {wav_dir}")
+    print(f"wrote {len(stats)} adversarial waveforms -> {wav_dir}")
     return EXIT_OK
 
 
@@ -242,60 +233,37 @@ def cmd_report(config: ExperimentConfig, out_dir: Path) -> int:
     if not config.report.checkpoints:
         raise ConfigError(["report.checkpoints: nothing to compare"])
     corpus = build_corpus(config)
-    loaded = []
-    for name, path in config.report.checkpoints:
-        params, meta = _load_checkpoint_or_missing(path, f"report checkpoint {name!r}")
-        if meta["corpus_fingerprint"] and meta["corpus_fingerprint"] != corpus.fingerprint:
-            raise ConfigError([
-                f"report: checkpoint {name!r} has corpus fingerprint "
-                f"{meta['corpus_fingerprint']}, expected {corpus.fingerprint}"])
-        loaded.append((name, params))
+    loaded = [(name, _load_checkpoint_or_missing(path, f"report checkpoint {name!r}", corpus))
+              for name, path in config.report.checkpoints]
 
     iterations = [10, 20, 40] if config.eval.full_grid else list(config.report.iterations)
-    eps = config.eval.epsilon
     scenarios = [ScenarioSection("clean"), ScenarioSection("fgsm")] + [
         ScenarioSection(kind, iterations=t) for kind in REPORT_ATTACKS for t in iterations]
-    cells = {}
-    for scenario in scenarios:
-        spec = _scenario_spec(scenario, config.eval)
-        cells[_scenario_name(scenario, spec)] = spec
-    columns = list(cells)
-    kwargs = dict(batch_size=config.eval.batch_size,
-                  segment_length=config.train.segment_length,
-                  seed=config.eval.seed, split=config.eval.split)
-    grid = {}
+    cells = {name: spec for scenario in scenarios
+             for _, name, spec in _cells(scenario, config.eval)}
+    kwargs = _eval_kwargs(config)
+    rows = []
     for name, params in loaded:
-        grid[name] = {column: ev.accuracy_under_attack(params, corpus, spec, **kwargs)[0]
-                      for column, spec in cells.items()}
+        rows.append((name, [ev.accuracy_under_attack(params, corpus, spec, **kwargs)[0]
+                            for spec in cells.values()]))
         print(f"evaluated {name}")
 
-    width = max(len(n) for n, _ in loaded)
-    lines = [f"# fingerprint={config.fingerprint()} seed={config.seed} eps={eps:g}",
-             "defense".ljust(width) + "".join(f"  {c:>8}" for c in columns)]
-    for name, _ in loaded:
-        lines.append(name.ljust(width)
-                     + "".join(f"  {grid[name][c]:8.2f}" for c in columns))
-    table = "\n".join(lines) + "\n"
-    csv_lines = ["defense," + ",".join(columns)]
-    for name, _ in loaded:
-        csv_lines.append(name + "," + ",".join(f"{grid[name][c]:.2f}" for c in columns))
-    (out_dir / "comparison.txt").write_text(table)
-    (out_dir / "comparison.csv").write_text(
-        f"# fingerprint={config.fingerprint()} seed={config.seed}\n"
-        + "\n".join(csv_lines) + "\n")
-    print(table)
+    stamp = f"# fingerprint={config.fingerprint()} seed={config.seed}"
+    width = max(len(name) for name, _ in rows)
+    table = [f"{stamp} eps={config.eval.epsilon:g}",
+             "defense".ljust(width) + "".join(f"  {c:>8}" for c in cells)]
+    table += [name.ljust(width) + "".join(f"  {a:8.2f}" for a in accs) for name, accs in rows]
+    csv = [stamp, "defense," + ",".join(cells)]
+    csv += [name + "," + ",".join(f"{a:.2f}" for a in accs) for name, accs in rows]
+    text = "\n".join(table) + "\n"
+    (out_dir / "comparison.txt").write_text(text)
+    (out_dir / "comparison.csv").write_text("\n".join(csv) + "\n")
+    print(text)
     return EXIT_OK
 
 
 def cmd_validate(config: ExperimentConfig, out_dir: Path) -> int:
-    violations, warnings_ = validate(config)
-    for v in violations:
-        print(f"violation: {v}")
-    for w in warnings_:
-        print(f"warning: {w}")
-    if violations:
-        return EXIT_CONFIG
-    print("config ok")
+    print("config ok")  # main has validated the config and printed its warnings
     return EXIT_OK
 
 
@@ -361,7 +329,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"error: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissingArtifactError, FileNotFoundError, CheckpointError) as exc:
+    except (FileNotFoundError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (NonFiniteError, FloatingPointError) as exc:

@@ -49,25 +49,17 @@ class RobustnessReport:
     created_utc: str = field(default_factory=lambda: datetime.datetime.now(
         datetime.timezone.utc).isoformat())
 
+    def _identity(self) -> dict:
+        return {"target": self.target_name, "config_fingerprint": self.config_fingerprint,
+                "corpus_fingerprint": self.corpus_fingerprint, "seed": self.global_seed}
+
     def content_hash(self) -> str:
         """Hash of everything except wall-clock metadata."""
-        payload = {
-            "target": self.target_name,
-            "config_fingerprint": self.config_fingerprint,
-            "corpus_fingerprint": self.corpus_fingerprint,
-            "seed": self.global_seed,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-        return fingerprint(payload)
+        return fingerprint(dict(self._identity(), entries=[e.to_dict() for e in self.entries]))
 
     def to_jsonl(self) -> str:
-        header = {
-            "record": "header", "target": self.target_name,
-            "config_fingerprint": self.config_fingerprint,
-            "corpus_fingerprint": self.corpus_fingerprint,
-            "seed": self.global_seed, "created_utc": self.created_utc,
-            "content_hash": self.content_hash(),
-        }
+        header = dict(self._identity(), record="header", created_utc=self.created_utc,
+                      content_hash=self.content_hash())
         lines = [json.dumps(header, sort_keys=True)]
         lines += [json.dumps(dict(e.to_dict(), record="entry"), sort_keys=True)
                   for e in self.entries]
@@ -109,23 +101,36 @@ def accuracy_under_attack(target: ModelParams, corpus: Corpus,
         attacked_forward = forward_override
     else:
         attacked_forward = model_forward_fn(source if source is not None else target)
-    segment = segment_length or min(u.samples.size for u in corpus.utterances)
     correct = total = 0
     snrs = []
-    for batch_index, (x, y) in enumerate(batch_iter(
-            corpus, batch_size, segment, seed=seed, epoch=0, split=split, train=False)):
-        if spec is None:
-            x_eval = x
-        else:
-            adv = generate(attacked_forward, x, y, spec, mode="eval",
-                           seed=(seed, batch_index, 1), sinkhorn=sinkhorn)
-            x_eval = adv.x_adv
+    for x, y, adv in attack_batches(attacked_forward, corpus, spec, batch_size=batch_size,
+                                    segment_length=segment_length, seed=seed, split=split,
+                                    sinkhorn=sinkhorn):
+        if adv is not None:
+            x = adv.x_adv
             snrs.append(adv.snr_db)
-        preds = np.argmax(forward_logits(target, x_eval, mode="eval").data, axis=1)
+        preds = np.argmax(forward_logits(target, x, mode="eval").data, axis=1)
         correct += int((preds == y).sum())
         total += len(y)
     snr = np.concatenate(snrs) if snrs else np.array([])
     return 100.0 * correct / total, snr
+
+
+def attack_batches(forward, corpus: Corpus, spec: AttackSpec | None, *, batch_size: int,
+                   segment_length: int | None, seed: int, split: str,
+                   sinkhorn: SinkhornSettings):
+    """Yield (x, y, adversarial batch or None) for each evaluation batch.
+
+    Batches are deterministic center crops of ``segment_length`` samples
+    (the shortest utterance when None) in fixed order; batch k is attacked
+    on ``forward`` with seed (seed, k, 1). ``spec=None`` yields no attack.
+    """
+    segment = segment_length or min(u.samples.size for u in corpus.utterances)
+    for batch_index, (x, y) in enumerate(batch_iter(
+            corpus, batch_size, segment, seed=seed, epoch=0, split=split, train=False)):
+        adv = None if spec is None else generate(
+            forward, x, y, spec, mode="eval", seed=(seed, batch_index, 1), sinkhorn=sinkhorn)
+        yield x, y, adv
 
 
 def clean_accuracy(target: ModelParams, corpus: Corpus, **kwargs) -> float:

@@ -137,10 +137,6 @@ def forward_logits(params: ModelParams, waveform_batch, mode: str = "eval",
     return ad.affine(h, pv["fc.w"], pv["fc.b"])
 
 
-def predict(params: ModelParams, waveform_batch, mode: str = "eval") -> np.ndarray:
-    return np.argmax(forward_logits(params, waveform_batch, mode=mode).data, axis=1)
-
-
 def min_input_samples(model_config: SpeakerCNNConfig, frontend_config: FrontendConfig) -> int:
     """Smallest waveform length the forward pass accepts (receptive field)."""
     frames = 1
@@ -196,8 +192,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         meta = json.loads(payload.pop("meta_json").tobytes().decode())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise CheckpointError(f"{path}: unreadable meta: {exc}") from exc
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {meta.get('version')!r}")
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    missing = [key for key in ("seed", "corpus_fingerprint") if key not in meta]
+    if missing:
+        raise CheckpointError(f"{path}: meta lacks {', '.join(missing)}")
     arrays = {k[len("arr__"):]: v for k, v in payload.items() if k.startswith("arr__")}
     running = {k[len("run__"):]: v for k, v in payload.items() if k.startswith("run__")}
     velocity = {k[len("vel__"):]: v for k, v in payload.items() if k.startswith("vel__")}

@@ -5,6 +5,7 @@ import numpy as np
 
 from advspeaker import autodiff as ad
 from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel
+from log_mel_chain import clamp, frame_signal
 
 
 def rng_for(seed):
@@ -141,7 +142,7 @@ def _case_clamp(rng):
     pts = rng.normal(size=(3, 4))
     pts[np.abs(pts - 1.0) < 0.05] += 0.2
     pts[np.abs(pts + 1.0) < 0.05] -= 0.2
-    return lambda x: (ad.clamp(x, -1.0, 1.0) ** 2.0).sum(), pts
+    return lambda x: (clamp(x, -1.0, 1.0) ** 2.0).sum(), pts
 
 
 @_register("gather_rows")
@@ -152,7 +153,7 @@ def _case_gather_rows(rng):
 
 @_register("frame_signal")
 def _case_frame_signal(rng):
-    return lambda x: (ad.frame_signal(x, 4, 2) ** 2.0).sum(), rng.normal(size=(2, 12))
+    return lambda x: (frame_signal(x, 4, 2) ** 2.0).sum(), rng.normal(size=(2, 12))
 
 
 @_register("reshape")

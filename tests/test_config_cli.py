@@ -205,15 +205,24 @@ def _write_broken_checkpoint(path, broken):
     with np.load(path) as data:
         payload = {k: data[k] for k in data.files}
     meta = json.loads(payload["meta_json"].tobytes())
-    del meta["model"]["kernel_size"]
-    text = json.dumps(meta) if broken == "no-kernel-size" else "not json"
+    if broken == "no-kernel-size":
+        del meta["model"]["kernel_size"]
+    elif broken.startswith("no-"):
+        del meta[_missing_key(broken)]
+    text = {"meta-not-json": "not json", "meta-not-object": "[]"}.get(broken, json.dumps(meta))
     payload["meta_json"] = np.frombuffer(text.encode(), dtype=np.uint8)
     np.savez(path, **payload)
 
 
+def _missing_key(broken):
+    """'no-corpus-fingerprint' -> 'corpus_fingerprint'."""
+    return broken.removeprefix("no-").replace("-", "_")
+
+
 @pytest.mark.parametrize("command, broken", [
     ("eval", "text"), ("attack", "text"), ("report", "text"),
-    ("eval", "no-kernel-size"), ("eval", "meta-not-json")])
+    ("eval", "no-kernel-size"), ("eval", "meta-not-json"), ("eval", "meta-not-object"),
+    ("eval", "no-seed"), ("eval", "no-corpus-fingerprint")])
 def test_cli_unreadable_checkpoint_is_exit_4_naming_the_path(tmp_path, capsys, command,
                                                              broken):
     checkpoint = tmp_path / "broken.npz"
@@ -224,8 +233,8 @@ def test_cli_unreadable_checkpoint_is_exit_4_naming_the_path(tmp_path, capsys, c
     assert cli.main([command, "--config", write_config(tmp_path, raw)]) == cli.EXIT_MISSING
     err = capsys.readouterr().err
     assert str(checkpoint) in err
-    if broken == "no-kernel-size":
-        assert "kernel_size" in err
+    if broken.startswith("no-"):
+        assert _missing_key(broken) in err
 
 
 def test_cli_train_then_eval_then_attack(tmp_path, capsys):
@@ -267,18 +276,93 @@ def test_cli_train_then_eval_then_attack(tmp_path, capsys):
     assert stats["fingerprint"] and stats["samples"]
 
 
-def test_cli_eval_refuses_mismatched_corpus(tmp_path):
-    out = tmp_path / "run"
-    raw = micro_config_dict(out=str(out))
-    raw["eval"]["target_checkpoint"] = str(out / "checkpoint.npz")
-    path = write_config(tmp_path, raw)
-    assert cli.main(["train", "--config", path]) == 0
+@pytest.fixture(scope="module")
+def micro_checkpoints(tmp_path_factory):
+    """One-epoch micro checkpoints: "target" and "source" (another model seed)
+    on the micro corpus, and "drifted" on the corpus drawn with seed 777."""
+    root = tmp_path_factory.mktemp("checkpoints")
+    paths = {}
+    for name, seed, corpus_seed in (("target", 7, None), ("source", 8, None),
+                                    ("drifted", 7, 777)):
+        raw = micro_config_dict(out=str(root / name))
+        raw["seed"], raw["train"]["epochs"] = seed, 1
+        if corpus_seed is not None:
+            raw["corpus"]["seed"] = corpus_seed
+        assert cli.main(["train", "--config", write_config(root, raw, f"{name}.json")]) == 0
+        paths[name] = str(root / name / "checkpoint.npz")
+    return paths
 
-    drifted = dict(raw)
-    drifted["corpus"] = dict(raw["corpus"], seed=777)
-    drifted_path = write_config(tmp_path, drifted, "drifted.json")
-    assert cli.main(["eval", "--config", drifted_path,
-                     "--out", str(tmp_path / "e2")]) == cli.EXIT_CONFIG
+
+@pytest.mark.parametrize("command, role", [
+    ("eval", "target"), ("eval", "source"), ("attack", "target"), ("report", "row")])
+def test_cli_eval_refuses_mismatched_corpus(tmp_path, capsys, micro_checkpoints, command,
+                                            role):
+    drifted = micro_checkpoints["drifted"]
+    raw = micro_config_dict(out=str(tmp_path / "out"))
+    raw["eval"]["target_checkpoint"] = (drifted if role == "target"
+                                        else micro_checkpoints["target"])
+    if role == "source":
+        raw["eval"]["source_checkpoint"] = drifted
+        raw["eval"]["scenarios"] = [{"kind": "transfer", "attack": "pgd", "iterations": 1}]
+    raw["report"]["checkpoints"] = [["target", micro_checkpoints["target"]],
+                                    ["drifted", drifted]]
+    assert cli.main([command, "--config", write_config(tmp_path, raw)]) == cli.EXIT_CONFIG
+    assert drifted in capsys.readouterr().err
+
+
+def test_eval_attack_and_report_share_one_evaluation_path(tmp_path, monkeypatch,
+                                                          micro_checkpoints):
+    from advspeaker import evaluate as ev
+    from advspeaker.losses import SinkhornSettings
+
+    raw = micro_config_dict(out=str(tmp_path / "out"))
+    raw["eval"].update(target_checkpoint=micro_checkpoints["target"],
+                       source_checkpoint=micro_checkpoints["source"])
+    raw["eval"]["scenarios"] = [
+        {"kind": "clean"}, {"kind": "pgd", "iterations": 2}, {"kind": "cw", "iterations": 2},
+        {"kind": "fs", "iterations": 2}, {"kind": "hybrid", "iterations": 2},
+        {"kind": "transfer", "attack": "pgd", "iterations": 2},
+        {"kind": "epsilon_sweep", "attack": "pgd", "iterations": 2,
+         "epsilons": [0.0, 0.002]},
+        {"kind": "iteration_sweep", "attack": "fs", "counts": [1, 2]}]
+    raw["report"] = {"checkpoints": [["target", micro_checkpoints["target"]]],
+                     "iterations": [2]}
+    path = write_config(tmp_path, raw)
+    sinkhorn = cfg.config_from_dict(raw).train.sinkhorn
+    assert sinkhorn != SinkhornSettings()
+
+    solvers = []
+    generate = ev.generate
+
+    def recording_generate(*args, **kwargs):
+        solvers.append(kwargs.get("sinkhorn"))
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "generate", recording_generate)
+    for command in ("eval", "attack", "report"):
+        solvers.clear()
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        assert solvers and all(s == sinkhorn for s in solvers), command
+
+    lines = (tmp_path / "eval" / "report.jsonl").read_text().splitlines()[1:]
+    entries = {e["name"]: e for e in map(json.loads, lines)}
+    attacked = [e for e in entries.values() if e["attack"] is not None]
+    assert {"transfer:pgd2", "epsilon_sweep:pgd2@eps=0.002",
+            "iteration_sweep:fs10@T=2"} <= {e["name"] for e in attacked}
+    assert all(e["snr_mean_db"] is not None and e["snr_min_db"] is not None
+               for e in attacked)
+    columns, row = (tmp_path / "report" / "comparison.csv").read_text().splitlines()[1:]
+    cells = dict(zip(columns.split(",")[1:], map(float, row.split(",")[1:])))
+    for name in ("clean", "pgd2", "cw2", "fs2"):
+        assert cells[name] == entries[name]["accuracy"], name
+
+
+def test_cli_validate_prints_each_warning_once(tmp_path, capsys):
+    path = write_config(tmp_path, micro_config_dict())
+    assert cli.main(["validate", "--config", path, "--set", "eval.epsilon=0.004"]) == 0
+    out, err = capsys.readouterr()
+    assert (out + err).count("warning: eval.epsilon") == 1
+    assert "config ok" in out
 
 
 def test_cli_set_overrides_and_seed_flag(tmp_path):
