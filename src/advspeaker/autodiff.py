@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
 Graphs are define-by-run: constructing an expression evaluates it eagerly
-and records the adjoint closure needed by ``backward``. A fresh graph is
-built on every forward pass, which is exactly what iterative attack loops
-need. Constant subgraphs (no ``requires_grad`` leaf below them) carry no
-tape and cost nothing at backward time.
+and records, for each input, one ``(parent, vjp)`` edge whose ``vjp`` maps
+the output gradient to that input's gradient. ``_node`` is the only place
+that builds a node: it drops edges into constants and accumulates the rest
+at backward time. A fresh graph is built on every forward pass, which is
+exactly what iterative attack loops need. Constant subgraphs (no
+``requires_grad`` leaf below them) carry no tape and cost nothing at
+backward time.
 
 Conventions baked in here:
   * everything is float64,
@@ -24,7 +27,7 @@ import numpy as np
 OPSET = (
     "add", "sub", "neg", "mul", "div", "pow", "matmul",
     "conv1d", "maxpool1d", "relu", "batchnorm",
-    "logsumexp", "log",
+    "logsumexp",
     "sum", "mean", "amax",
     "gather_rows", "reshape", "permute",
     "l2_norm", "affine",
@@ -90,7 +93,6 @@ class Value:
     def mean(self, axis=None, keepdims=False): return reduce_mean(self, axis, keepdims)
     def reshape(self, shape): return reshape(self, shape)
     def relu(self): return relu(self)
-    def log(self): return log(self)
 
     @property
     def T(self) -> "Value":
@@ -106,23 +108,28 @@ def as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
-def _node(data: np.ndarray, parents: tuple[Value, ...], op: str,
-          backward_fn: Callable[[Value], None]) -> Value:
+def _node(data: np.ndarray, op: str,
+          *edges: tuple[Value, Callable[[np.ndarray], np.ndarray]]) -> Value:
+    """A graph node with one ``(parent, vjp)`` edge per input.
+
+    ``vjp(g)`` maps the node's gradient ``g`` to that parent's gradient.
+    Edges into parents that need no gradient are dropped here, so no adjoint
+    is ever computed for a constant. At backward time the node adds each
+    kept edge's adjoint to its parent's ``grad``, in edge order.
+    """
     out = Value(data)
     out._op = op
-    if any(p.requires_grad for p in parents):
+    live = [edge for edge in edges if edge[0].requires_grad]
+    if live:
+        out._parents, vjps = zip(*live)
         out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = lambda: backward_fn(out)
+
+        def _backward():
+            for parent, vjp in zip(out._parents, vjps):
+                parent.grad += vjp(out.grad)
+
+        out._backward = _backward
     return out
-
-
-def _accum(v: Value, g: np.ndarray) -> None:
-    if not v.requires_grad:
-        return
-    if v.grad is None:
-        v.grad = np.zeros_like(v.data)
-    v.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -136,83 +143,62 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _unreduce(g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """Re-insert the axes a reduction dropped, so ``g`` broadcasts against its input."""
+    return g if keepdims or axis is None else np.expand_dims(g, axis)
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def add(a, b) -> Value:
+# Broadcasting binary ops: the forward ufunc, then the adjoint of each
+# operand as a function of (output gradient, a data, b data), taken before
+# it is summed back down to the operand's shape.
+_BROADCASTING = {
+    "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+
+
+def _broadcasting(op: str, a, b) -> Value:
+    forward, grad_a, grad_b = _BROADCASTING[op]
     a, b = as_value(a), as_value(b)
     try:
-        data = a.data + b.data
+        data = forward(a.data, b.data)
     except ValueError:
-        raise ShapeError("add", f"cannot broadcast {a.shape} with {b.shape}") from None
+        raise ShapeError(op, f"cannot broadcast {a.shape} with {b.shape}") from None
+    return _node(data, op,
+                 (a, lambda g: _unbroadcast(grad_a(g, a.data, b.data), a.shape)),
+                 (b, lambda g: _unbroadcast(grad_b(g, a.data, b.data), b.shape)))
 
-    def bw(out: Value):
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(out.grad, b.shape))
 
-    return _node(data, (a, b), "add", bw)
+def add(a, b) -> Value:
+    return _broadcasting("add", a, b)
 
 
 def sub(a, b) -> Value:
-    a, b = as_value(a), as_value(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError("sub", f"cannot broadcast {a.shape} with {b.shape}") from None
+    return _broadcasting("sub", a, b)
 
-    def bw(out: Value):
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(-out.grad, b.shape))
 
-    return _node(data, (a, b), "sub", bw)
+def mul(a, b) -> Value:
+    return _broadcasting("mul", a, b)
+
+
+def div(a, b) -> Value:
+    return _broadcasting("div", a, b)
 
 
 def neg(a) -> Value:
     a = as_value(a)
-
-    def bw(out: Value):
-        _accum(a, -out.grad)
-
-    return _node(-a.data, (a,), "neg", bw)
-
-
-def mul(a, b) -> Value:
-    a, b = as_value(a), as_value(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError("mul", f"cannot broadcast {a.shape} with {b.shape}") from None
-
-    def bw(out: Value):
-        _accum(a, _unbroadcast(out.grad * b.data, a.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.shape))
-
-    return _node(data, (a, b), "mul", bw)
-
-
-def div(a, b) -> Value:
-    a, b = as_value(a), as_value(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError("div", f"cannot broadcast {a.shape} with {b.shape}") from None
-
-    def bw(out: Value):
-        _accum(a, _unbroadcast(out.grad / b.data, a.shape))
-        _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-    return _node(data, (a, b), "div", bw)
+    return _node(-a.data, "neg", (a, np.negative))
 
 
 def power(a, p: float) -> Value:
     a = as_value(a)
     p = float(p)
-    data = a.data ** p
-
-    def bw(out: Value):
-        _accum(a, out.grad * p * a.data ** (p - 1.0))
-
-    return _node(data, (a,), "pow", bw)
+    return _node(a.data ** p, "pow", (a, lambda g: g * p * a.data ** (p - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +208,9 @@ def matmul(a, b) -> Value:
     a, b = as_value(a), as_value(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", f"requires (m,k)@(k,n), got {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-
-    def bw(out: Value):
-        _accum(a, out.grad @ b.data.T)
-        _accum(b, a.data.T @ out.grad)
-
-    return _node(data, (a, b), "matmul", bw)
+    return _node(a.data @ b.data, "matmul",
+                 (a, lambda g: g @ b.data.T),
+                 (b, lambda g: a.data.T @ g))
 
 
 def affine(x, w, b) -> Value:
@@ -243,11 +225,7 @@ def reshape(a, shape) -> Value:
         data = a.data.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", f"cannot reshape {a.shape} to {shape}") from None
-
-    def bw(out: Value):
-        _accum(a, out.grad.reshape(a.shape))
-
-    return _node(data, (a,), "reshape", bw)
+    return _node(data, "reshape", (a, lambda g: g.reshape(a.shape)))
 
 
 def permute(a, axes: Sequence[int]) -> Value:
@@ -256,11 +234,7 @@ def permute(a, axes: Sequence[int]) -> Value:
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError("permute", f"axes {axes} invalid for ndim {a.ndim}")
     inverse = tuple(int(i) for i in np.argsort(axes))
-
-    def bw(out: Value):
-        _accum(a, out.grad.transpose(inverse))
-
-    return _node(a.data.transpose(axes), (a,), "permute", bw)
+    return _node(a.data.transpose(axes), "permute", (a, lambda g: g.transpose(inverse)))
 
 
 def gather_rows(a, indices) -> Value:
@@ -273,12 +247,12 @@ def gather_rows(a, indices) -> Value:
         raise ShapeError("gather_rows", f"index out of range for {a.shape[1]} columns")
     rows = np.arange(a.shape[0])
 
-    def bw(out: Value):
-        g = np.zeros_like(a.data)
-        np.add.at(g, (rows, idx), out.grad)
-        _accum(a, g)
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, (rows, idx), g)
+        return full
 
-    return _node(a.data[rows, idx], (a,), "gather_rows", bw)
+    return _node(a.data[rows, idx], "gather_rows", (a, vjp))
 
 
 def frames_view(x: np.ndarray, window_length: int, hop_length: int) -> np.ndarray:
@@ -309,70 +283,40 @@ def overlap_add(frames: np.ndarray, length: int, hop_length: int) -> np.ndarray:
 def relu(a) -> Value:
     a = as_value(a)
     mask = a.data > 0
-
-    def bw(out: Value):
-        _accum(a, out.grad * mask)
-
-    return _node(np.where(mask, a.data, 0.0), (a,), "relu", bw)
-
-
-def log(a) -> Value:
-    a = as_value(a)
-
-    def bw(out: Value):
-        _accum(a, out.grad / a.data)
-
-    return _node(np.log(a.data), (a,), "log", bw)
+    return _node(np.where(mask, a.data, 0.0), "relu", (a, lambda g: g * mask))
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Value:
     a = as_value(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(out: Value):
-        g = out.grad
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
-
-    return _node(data, (a,), "sum", bw)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), "sum",
+                 (a, lambda g: np.broadcast_to(_unreduce(g, axis, keepdims), a.shape)))
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Value:
     a = as_value(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
     if axis is None:
         count = a.data.size
     else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         count = int(np.prod([a.data.shape[i] for i in axes]))
-
-    def bw(out: Value):
-        g = out.grad
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape) / count)
-
-    return _node(data, (a,), "mean", bw)
+    return _node(a.data.mean(axis=axis, keepdims=keepdims), "mean",
+                 (a, lambda g: np.broadcast_to(_unreduce(g, axis, keepdims), a.shape) / count))
 
 
 def reduce_max(a, axis: int, keepdims: bool = False) -> Value:
     """Max along one axis; ties send the gradient to the lowest index."""
     a = as_value(a)
-    idx = np.argmax(a.data, axis=axis)
-    data = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis)
+    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+    data = np.take_along_axis(a.data, idx, axis=axis)
     if not keepdims:
         data = np.squeeze(data, axis=axis)
 
-    def bw(out: Value):
-        g = out.grad
-        if not keepdims:
-            g = np.expand_dims(g, axis)
+    def vjp(g):
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), g, axis=axis)
-        _accum(a, full)
+        np.put_along_axis(full, idx, _unreduce(g, axis, keepdims), axis=axis)
+        return full
 
-    return _node(data, (a,), "amax", bw)
+    return _node(data, "amax", (a, vjp))
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Value:
@@ -384,14 +328,7 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Value:
     soft = e / se
     if not keepdims:
         data = np.squeeze(data, axis=axis)
-
-    def bw(out: Value):
-        g = out.grad
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, soft * g)
-
-    return _node(data, (a,), "logsumexp", bw)
+    return _node(data, "logsumexp", (a, lambda g: soft * _unreduce(g, axis, keepdims)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +345,14 @@ def conv1d(x, w) -> Value:
     windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
     data = np.einsum("nclk,ock->nol", windows, w.data, optimize=True)
 
-    def bw(out: Value):
-        if w.requires_grad:
-            _accum(w, np.einsum("nol,nclk->ock", out.grad, windows, optimize=True))
-        if x.requires_grad:
-            gp = np.pad(out.grad, ((0, 0), (0, 0), (k - 1, k - 1)))
-            gw = np.lib.stride_tricks.sliding_window_view(gp, k, axis=2)
-            _accum(x, np.einsum("nolk,ock->ncl", gw, w.data[:, :, ::-1], optimize=True))
+    def x_vjp(g):
+        gw = np.lib.stride_tricks.sliding_window_view(
+            np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1))), k, axis=2)
+        return np.einsum("nolk,ock->ncl", gw, w.data[:, :, ::-1], optimize=True)
 
-    return _node(data, (x, w), "conv1d", bw)
+    return _node(data, "conv1d",
+                 (x, x_vjp),
+                 (w, lambda g: np.einsum("nol,nclk->ock", g, windows, optimize=True)))
 
 
 def maxpool1d(x, width: int) -> Value:
@@ -432,14 +368,14 @@ def maxpool1d(x, width: int) -> Value:
     idx = np.argmax(blocks, axis=3)
     data = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
 
-    def bw(out: Value):
+    def vjp(g):
         g_blocks = np.zeros_like(blocks)
-        np.put_along_axis(g_blocks, idx[..., None], out.grad[..., None], axis=3)
-        g = np.zeros_like(x.data)
-        g[:, :, :pooled * width] = g_blocks.reshape(n, c, pooled * width)
-        _accum(x, g)
+        np.put_along_axis(g_blocks, idx[..., None], g[..., None], axis=3)
+        full = np.zeros_like(x.data)
+        full[:, :, :pooled * width] = g_blocks.reshape(n, c, pooled * width)
+        return full
 
-    return _node(data, (x,), "maxpool1d", bw)
+    return _node(data, "maxpool1d", (x, vjp))
 
 
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
@@ -465,38 +401,29 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
         rstd = 1.0 / np.sqrt(running_var.reshape(cshape) + eps)
         x_hat = (x.data - running_mean.reshape(cshape)) * rstd
 
-        def bw(out: Value):
-            if x.requires_grad:
-                _accum(x, out.grad * gam * rstd)
-            if gamma.requires_grad:
-                _accum(gamma, (out.grad * x_hat).sum(axis=axes))
-            if beta.requires_grad:
-                _accum(beta, out.grad.sum(axis=axes))
+        def x_vjp(g):
+            return g * gam * rstd
+    else:
+        m = int(np.prod([x.shape[i] for i in axes]))
+        mu = x.data.mean(axis=axes, keepdims=True)
+        var = x.data.var(axis=axes, keepdims=True)
+        rstd = 1.0 / np.sqrt(var + eps)
+        x_hat = (x.data - mu) * rstd
+        if mode == "train":
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mu.reshape(-1)
+            running_var *= 1.0 - momentum
+            running_var += momentum * var.reshape(-1)
 
-        return _node(gam * x_hat + bet, (x, gamma, beta), "batchnorm", bw)
+        def x_vjp(g):
+            g_sum = g.sum(axis=axes, keepdims=True)
+            gx_sum = (g * x_hat).sum(axis=axes, keepdims=True)
+            return gam * rstd * (g - g_sum / m - x_hat * gx_sum / m)
 
-    m = int(np.prod([x.shape[i] for i in axes]))
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    rstd = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mu) * rstd
-    if mode == "train":
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.reshape(-1)
-
-    def bw(out: Value):
-        if x.requires_grad:
-            g_sum = out.grad.sum(axis=axes, keepdims=True)
-            gx_sum = (out.grad * x_hat).sum(axis=axes, keepdims=True)
-            _accum(x, gam * rstd * (out.grad - g_sum / m - x_hat * gx_sum / m))
-        if gamma.requires_grad:
-            _accum(gamma, (out.grad * x_hat).sum(axis=axes))
-        if beta.requires_grad:
-            _accum(beta, out.grad.sum(axis=axes))
-
-    return _node(gam * x_hat + bet, (x, gamma, beta), "batchnorm", bw)
+    return _node(gam * x_hat + bet, "batchnorm",
+                 (x, x_vjp),
+                 (gamma, lambda g: (g * x_hat).sum(axis=axes)),
+                 (beta, lambda g: g.sum(axis=axes)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ import numpy as np
 from . import evaluate as ev
 from .attacks import ATTACKS, AttackSpec, attack_spec, model_forward_fn, spec_with
 from .autodiff import NonFiniteError
-from .config import (ConfigError, ExperimentConfig, ScenarioSection, apply_overrides,
-                     config_from_dict, validate)
+from .config import ConfigError, ExperimentConfig, ScenarioSection, load_config, validate
 from .data import (Corpus, CorpusError, ingest, load_corpus, save_manifest, synth_corpus,
                    write_wav)
 from .model import CheckpointError, build, load_checkpoint
@@ -147,7 +146,7 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
     params = _load_checkpoint_or_missing(config.eval.target_checkpoint,
                                          "eval.target_checkpoint", corpus)
     source_params = None
-    if config.eval.source_checkpoint:
+    if any(s.kind == "transfer" for s in config.eval.scenarios):
         source_params = _load_checkpoint_or_missing(config.eval.source_checkpoint,
                                                     "eval.source_checkpoint", corpus)
     fp, seed, kwargs = config.fingerprint(), config.eval.seed, _eval_kwargs(config)
@@ -296,17 +295,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"error: config file {args.config} not found", file=sys.stderr)
-        return EXIT_MISSING
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        raw = apply_overrides(raw, args.overrides)
-        config = config_from_dict(raw)
+        config = load_config(args.config, args.overrides)
         if args.seed is not None:
             config.seed = args.seed
         if args.out is not None:

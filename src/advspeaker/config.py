@@ -15,7 +15,7 @@ from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON
 from .data import SynthConfig
 from .frontend import FrontendConfig
 from .losses import LossWeights, SinkhornSettings
-from .model import SpeakerCNNConfig
+from .model import SpeakerCNNConfig, min_input_samples
 from .training import PAPER_LR_SCHEDULE, TrainConfig, default_train_attack
 from .util import ConfigError, fingerprint, from_json, to_json
 
@@ -115,13 +115,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return replace(config, train=replace(config.train, attack=attack))
 
 
-def load_config(path) -> ExperimentConfig:
-    path = Path(path)
+def load_config(path, overrides=()) -> ExperimentConfig:
+    """The experiment a JSON file describes, with dotted ``overrides`` applied."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise FileNotFoundError(f"config file {path} not found") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from exc
-    return config_from_dict(raw)
+        raise ConfigError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
+    return config_from_dict(apply_overrides(raw, overrides))
 
 
 def parse_override(expr: str) -> tuple[list[str], object]:
@@ -176,8 +178,6 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
             violations.append("corpus.sample_rate != frontend.sample_rate")
 
     attack = config.train.attack
-    if attack.epsilon <= 0:
-        violations.append("train.attack.epsilon: must be > 0")
     if config.eval.epsilon < 0:
         violations.append("eval.epsilon: must be >= 0")
     if config.eval.split not in ("train", "test", "all"):
@@ -212,16 +212,11 @@ def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
         violations.append("report.iterations: must be >= 1")
 
     # receptive-field check: the training segment must survive the stack
-    from .model import min_input_samples
-
-    try:
-        needed = min_input_samples(config.model, config.frontend)
-        if config.train.segment_length < needed:
-            violations.append(
-                f"train.segment_length ({config.train.segment_length}) below the "
-                f"model receptive field ({needed} samples)")
-    except ValueError:
-        pass  # model/frontend construction already reported above
+    needed = min_input_samples(config.model, config.frontend)
+    if config.train.segment_length < needed:
+        violations.append(
+            f"train.segment_length ({config.train.segment_length}) below the "
+            f"model receptive field ({needed} samples)")
 
     if attack.epsilon != REFERENCE_EPSILON:
         warnings_.append(

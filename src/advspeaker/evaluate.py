@@ -301,11 +301,8 @@ def scrambled_gradient_forward(params: ModelParams, scramble_seed: int = 0):
     rng = np.random.default_rng((scramble_seed, 0xC0DE))
 
     def scramble(x: ad.Value) -> ad.Value:
-        def bw(out: ad.Value):
-            noise = rng.normal(size=x.shape)
-            ad._accum(x, noise)
-
-        return ad._node(x.data.copy(), (x,), "scrambled_identity", bw)
+        return ad._node(x.data.copy(), "scrambled_identity",
+                        (x, lambda g: rng.normal(size=x.shape)))
 
     def fn(xv: ad.Value, mode: str) -> ad.Value:
         return forward_logits(params, scramble(xv), mode=mode)

@@ -110,11 +110,11 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
     keep = mel > cfg.log_floor
     data = np.log(clamped).reshape(n, n_frames, cfg.mel_bins).transpose(0, 2, 1)
 
-    def bw(out: Value):
+    def vjp(g):
         # the chain's zero-initialised accumulators only flip -0.0 to +0.0,
         # which the zero-initialised overlap-add does as well, so they are
         # left out; every other step repeats the chain's arithmetic
-        g = out.grad.transpose(0, 2, 1).reshape(n * n_frames, cfg.mel_bins)
+        g = g.transpose(0, 2, 1).reshape(n * n_frames, cfg.mel_bins)
         g_power = ((g / clamped) * keep) @ ops._fb_t.T
         g_re = g_power * re
         g_re += g_re
@@ -123,6 +123,6 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
         g_frames = (g_re @ ops.dft_cos.T).reshape(n, n_frames, cfg.window_length)
         g_frames += (g_im @ ops.dft_sin.T).reshape(n, n_frames, cfg.window_length)
         g_frames *= ops.window
-        ad._accum(x, ad.overlap_add(g_frames, t, cfg.hop_length).reshape(x.shape))
+        return ad.overlap_add(g_frames, t, cfg.hop_length).reshape(x.shape)
 
-    return ad._node(data, (x,), "log_mel", bw)
+    return ad._node(data, "log_mel", (x, vjp))

@@ -124,6 +124,7 @@ def forward_logits(params: ModelParams, waveform_batch, mode: str = "eval",
         name: Value(arr) for name, arr in params.arrays.items()
     }
     cfg = params.model_config
+    pools = cfg.pool_layers()
     h = log_mel(waveform_batch, params.frontend_ops)
     for i, c_out in enumerate(cfg.channels):
         h = ad.conv1d(h, pv[f"conv{i}.w"]) + ad.reshape(pv[f"conv{i}.b"], (1, c_out, 1))
@@ -131,7 +132,7 @@ def forward_logits(params: ModelParams, waveform_batch, mode: str = "eval",
                          params.running[f"bn{i}.mean"], params.running[f"bn{i}.var"],
                          mode=_BN_MODE[mode])
         h = ad.relu(h)
-        if (i + 1) % cfg.pool_every == 0:
+        if i + 1 in pools:
             h = ad.maxpool1d(h, cfg.pool_width)
     h = ad.reduce_mean(h, axis=2)
     return ad.affine(h, pv["fc.w"], pv["fc.b"])
@@ -139,9 +140,10 @@ def forward_logits(params: ModelParams, waveform_batch, mode: str = "eval",
 
 def min_input_samples(model_config: SpeakerCNNConfig, frontend_config: FrontendConfig) -> int:
     """Smallest waveform length the forward pass accepts (receptive field)."""
+    pools = model_config.pool_layers()
     frames = 1
     for i in range(model_config.num_stacks, 0, -1):
-        if i % model_config.pool_every == 0:
+        if i in pools:
             frames = frames * model_config.pool_width
         frames = frames + model_config.kernel_size - 1
     return frontend_config.window_length + (frames - 1) * frontend_config.hop_length

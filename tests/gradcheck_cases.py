@@ -5,7 +5,7 @@ import numpy as np
 
 from advspeaker import autodiff as ad
 from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel
-from log_mel_chain import clamp, frame_signal
+from log_mel_chain import clamp, frame_signal, log
 
 
 def rng_for(seed):
@@ -119,7 +119,7 @@ def _case_logsumexp(rng):
 
 @_register("log")
 def _case_log(rng):
-    return lambda x: ad.log(x).sum(), rng.uniform(0.5, 2.0, size=(3, 4))
+    return lambda x: log(x).sum(), rng.uniform(0.5, 2.0, size=(3, 4))
 
 
 @_register("sum")

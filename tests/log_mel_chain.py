@@ -2,8 +2,8 @@
 
 This is the composition that ``frontend.log_mel`` fuses into one node. It
 is kept as a test oracle: the fused primitive must reproduce its values
-and its waveform gradients bit for bit. The two primitives only the chain
-uses, ``frame_signal`` and ``clamp``, live here with it.
+and its waveform gradients bit for bit. The three primitives only the
+chain uses, ``frame_signal``, ``clamp`` and ``log``, live here with it.
 """
 
 import numpy as np
@@ -21,12 +21,8 @@ def frame_signal(x, window_length: int, hop_length: int) -> Value:
     if x.shape[1] < window_length:
         raise ad.ShapeError("frame_signal",
                             f"signal length {x.shape[1]} < window {window_length}")
-
-    def bw(out: Value):
-        ad._accum(x, ad.overlap_add(out.grad, x.shape[1], hop_length))
-
-    return ad._node(ad.frames_view(x.data, window_length, hop_length).copy(), (x,),
-                    "frame_signal", bw)
+    return ad._node(ad.frames_view(x.data, window_length, hop_length).copy(), "frame_signal",
+                    (x, lambda g: ad.overlap_add(g, x.shape[1], hop_length)))
 
 
 def clamp(a, lo: float | None = None, hi: float | None = None) -> Value:
@@ -38,11 +34,13 @@ def clamp(a, lo: float | None = None, hi: float | None = None) -> Value:
         mask &= a.data > lo
     if hi is not None:
         mask &= a.data < hi
+    return ad._node(data, "clamp", (a, lambda g: g * mask))
 
-    def bw(out: Value):
-        ad._accum(a, out.grad * mask)
 
-    return ad._node(data, (a,), "clamp", bw)
+def log(a) -> Value:
+    """Elementwise natural log."""
+    a = ad.as_value(a)
+    return ad._node(np.log(a.data), "log", (a, lambda g: g / a.data))
 
 
 def log_mel_chain(waveform, ops: FrontendOps) -> Value:
@@ -59,6 +57,6 @@ def log_mel_chain(waveform, ops: FrontendOps) -> Value:
     im = ad.matmul(flat, Value(ops.dft_sin))
     power = re * re + im * im
     mel = ad.matmul(power, Value(ops._fb_t))
-    out = ad.log(clamp(mel, lo=cfg.log_floor))
+    out = log(clamp(mel, lo=cfg.log_floor))
     out = ad.reshape(out, (n, n_frames, cfg.mel_bins))
     return ad.permute(out, (0, 2, 1))

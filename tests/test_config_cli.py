@@ -310,6 +310,19 @@ def test_cli_eval_refuses_mismatched_corpus(tmp_path, capsys, micro_checkpoints,
     assert drifted in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, code", [
+    ({"kind": "clean"}, cli.EXIT_OK),
+    ({"kind": "transfer", "attack": "pgd", "iterations": 1}, cli.EXIT_MISSING)])
+def test_eval_loads_the_transfer_source_only_for_a_transfer_scenario(
+        tmp_path, capsys, micro_checkpoints, scenario, code):
+    absent = str(tmp_path / "absent.npz")
+    raw = micro_config_dict(out=str(tmp_path / "out"))
+    raw["eval"].update(target_checkpoint=micro_checkpoints["target"], source_checkpoint=absent,
+                       scenarios=[scenario])
+    assert cli.main(["eval", "--config", write_config(tmp_path, raw)]) == code
+    assert (absent in capsys.readouterr().err) == (code == cli.EXIT_MISSING)
+
+
 def test_eval_attack_and_report_share_one_evaluation_path(tmp_path, monkeypatch,
                                                           micro_checkpoints):
     from advspeaker import evaluate as ev
