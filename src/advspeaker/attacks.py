@@ -135,16 +135,16 @@ def init_perturbation(x: np.ndarray, epsilon: float, random_init: bool,
     return np.clip(x + noise, WAVE_MIN, WAVE_MAX)
 
 
-def pgd_step(x_adv: np.ndarray, grad: np.ndarray, x: np.ndarray,
-             alpha: float, epsilon: float) -> np.ndarray:
-    """Ascend along sign(grad), project onto the ball, clamp to valid range."""
-    if x_adv.shape != grad.shape or x_adv.shape != x.shape:
-        raise ad.ShapeError("pgd_step", f"shapes {x_adv.shape}/{grad.shape}/{x.shape} differ")
+def pgd_step(x_adv: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             alpha: float) -> np.ndarray:
+    """Ascend along sign(grad), then clip into [lo, hi]: the epsilon-ball
+    around the clean input intersected with the valid waveform range."""
+    if not x_adv.shape == grad.shape == lo.shape == hi.shape:
+        raise ad.ShapeError("pgd_step", f"shapes {x_adv.shape}/{grad.shape}/{lo.shape}/"
+                                        f"{hi.shape} differ")
     if not np.isfinite(grad).all():
         raise NonFiniteError("pgd_step: non-finite gradient")
-    candidate = x_adv + alpha * np.sign(grad)
-    candidate = np.clip(candidate, x - epsilon, x + epsilon)
-    return np.clip(candidate, WAVE_MIN, WAVE_MAX)
+    return np.clip(x_adv + alpha * np.sign(grad), lo, hi)
 
 
 def snr_db(x: np.ndarray, x_adv: np.ndarray) -> np.ndarray:
@@ -174,6 +174,11 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if not (np.abs(x) <= WAVE_MAX).all():
+        raise ValueError("generate: the clean batch must lie in the waveform range [-1, 1]")
+    # one clip per step equals the ball clip then the range clip because x lies in range
+    lo = np.maximum(x - spec.epsilon, WAVE_MIN)
+    hi = np.minimum(x + spec.epsilon, WAVE_MAX)
     rng = np.random.default_rng(seed)
     x_adv = init_perturbation(x, spec.epsilon, spec.random_init, rng)
     needs_clean = spec.weights.gamma != 0.0
@@ -185,7 +190,7 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         loss = hybrid_loss(spec.weights, logits, logits_clean, y,
                            margin=spec.margin, sinkhorn=sinkhorn)
         ad.backward(loss)
-        x_adv = pgd_step(x_adv, xv.grad, x, spec.alpha, spec.epsilon)
+        x_adv = pgd_step(x_adv, xv.grad, lo, hi, spec.alpha)
         realized = np.abs(x_adv - x).max()
         if realized > spec.epsilon + 1e-12:
             raise AssertionError(f"ball invariant violated at step {t}: {realized} > {spec.epsilon}")
@@ -196,12 +201,12 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
                             snr_db=snr_db(x, x_adv))
 
 
-def model_forward_fn(params, param_values=None) -> ForwardFn:
+def model_forward_fn(params) -> ForwardFn:
     """Adapter binding ModelParams into the ForwardFn shape attacks expect."""
     from .model import forward_logits
 
     def fn(xv: Value, mode: str) -> Value:
-        return forward_logits(params, xv, mode=mode, param_values=param_values)
+        return forward_logits(params, xv, mode=mode)
 
     return fn
 

@@ -67,9 +67,6 @@ class Value:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Value":
         return Value(self.data)
 

@@ -21,9 +21,8 @@ import numpy as np
 from . import evaluate as ev
 from .attacks import ATTACKS, AttackSpec, attack_spec, model_forward_fn, spec_with
 from .autodiff import NonFiniteError
-from .config import ConfigError, ExperimentConfig, ScenarioSection, load_config, validate
-from .data import (Corpus, CorpusError, ingest, load_corpus, save_manifest, synth_corpus,
-                   write_wav)
+from .config import ConfigError, ExperimentConfig, ScenarioSection, check, load_config, validate
+from .data import Corpus, ingest, load_corpus, save_manifest, synth_corpus, write_wav
 from .model import CheckpointError, build, load_checkpoint
 from .training import fit
 
@@ -64,10 +63,12 @@ def build_corpus(config: ExperimentConfig) -> Corpus:
         return synth_corpus(config.corpus.synth_config())
     manifest = ingest(config.corpus.root, split_seed=config.corpus.split_seed)
     corpus = load_corpus(manifest)
-    if corpus.sample_rate != config.frontend.sample_rate:
-        raise ConfigError([
+    check([(corpus.sample_rate != config.frontend.sample_rate,
             f"corpus sample rate {corpus.sample_rate} != frontend.sample_rate "
-            f"{config.frontend.sample_rate}"])
+            f"{config.frontend.sample_rate}"),
+           (corpus.num_speakers != config.model.num_speakers,
+            f"corpus has {corpus.num_speakers} speakers != model.num_speakers "
+            f"{config.model.num_speakers}")])
     return corpus
 
 
@@ -300,13 +301,8 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.out is not None:
             config.output_dir = args.out
-        violations, warnings_ = validate(config)
-        for w in warnings_:
+        for w in validate(config):
             print(f"warning: {w}", file=sys.stderr)
-        if violations:
-            for v in violations:
-                print(f"violation: {v}", file=sys.stderr)
-            return EXIT_CONFIG
 
         out_dir = Path(config.output_dir)
         if args.command == "validate":
@@ -314,8 +310,8 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with OutputLock(out_dir):
             return COMMANDS[args.command](config, out_dir)
-    except ConfigError as exc:
-        for v in exc.violations:
+    except ConfigError as exc:  # a CorpusError included
+        for v in exc.errors:
             print(f"error: {v}", file=sys.stderr)
         return EXIT_CONFIG
     except (FileNotFoundError, CheckpointError) as exc:
@@ -324,9 +320,6 @@ def main(argv=None) -> int:
     except (NonFiniteError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

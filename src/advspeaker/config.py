@@ -17,7 +17,7 @@ from .frontend import FrontendConfig
 from .losses import LossWeights, SinkhornSettings
 from .model import SpeakerCNNConfig, min_input_samples
 from .training import PAPER_LR_SCHEDULE, TrainConfig, default_train_attack
-from .util import ConfigError, fingerprint, from_json, to_json
+from .util import ConfigError, check, fingerprint, from_json, to_json
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,12 @@ class CorpusSection(SynthConfig):
     kind: str = "synthetic"              # "synthetic" | "wav_dir"
     root: str | None = None              # wav_dir only
     split_seed: int = 0                  # wav_dir only
+
+    def _rules(self) -> list[tuple[bool, str]]:
+        return super()._rules() + [
+            (self.kind not in ("synthetic", "wav_dir"), f"kind: unknown kind {self.kind!r}"),
+            (self.kind == "wav_dir" and not self.root,
+             "root: required when corpus.kind is wav_dir")]
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(**{f.name: getattr(self, f.name) for f in fields(SynthConfig)})
@@ -41,6 +47,18 @@ class ScenarioSection:
     epsilon: float | None = None
     epsilons: list[float] = field(default_factory=list)
     counts: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        check([
+            (self.kind not in SCENARIO_KINDS, f"kind: unknown kind {self.kind!r}"),
+            (self.kind in ("transfer", *SWEEP_KINDS) and self.attack not in ATTACKS,
+             f"attack: unknown attack {self.attack!r} (one of {', '.join(ATTACKS)})"),
+            (self.iterations is not None and self.iterations < 1, "iterations: must be >= 1"),
+            (self.kind == "epsilon_sweep" and not self.epsilons, "epsilon_sweep needs epsilons"),
+            (any(e < 0 for e in self.epsilons), "epsilons: must be >= 0"),
+            (self.kind == "iteration_sweep" and not self.counts, "iteration_sweep needs counts"),
+            (any(t < 1 for t in self.counts), "counts: must be >= 1"),
+            (self.epsilon is not None and self.epsilon < 0, "epsilon: must be >= 0")])
 
 
 SWEEP_KINDS = ("epsilon_sweep", "iteration_sweep")
@@ -63,11 +81,28 @@ class EvalSection:
         ScenarioSection("fs", iterations=10), ScenarioSection("hybrid", iterations=10),
     ])
 
+    def __post_init__(self):
+        rules = [(self.batch_size < 1, "batch_size: must be >= 1"),
+                 (self.epsilon < 0, "epsilon: must be >= 0"),
+                 (self.split not in ("train", "test", "all"),
+                  f"split: unknown split {self.split!r}")]
+        for i, s in enumerate(self.scenarios):
+            budget = self.epsilon if s.epsilon is None else s.epsilon
+            rules += [(s.kind == "transfer" and not self.source_checkpoint,
+                       f"scenarios[{i}]: transfer needs eval.source_checkpoint"),
+                      (s.kind in SWEEP_KINDS and budget == 0,
+                       f"scenarios[{i}]: {s.kind} needs a budget > 0 "
+                       f"(eval.epsilon or the scenario's epsilon)")]
+        check(rules)
+
 
 @dataclass
 class ReportSection:
     checkpoints: list[tuple[str, str]] = field(default_factory=list)
     iterations: list[int] = field(default_factory=lambda: [10, 40])
+
+    def __post_init__(self):
+        check([(any(t < 1 for t in self.iterations), "iterations: must be >= 1")])
 
 
 @dataclass
@@ -159,74 +194,29 @@ def apply_overrides(raw: dict, overrides) -> dict:
 # validation
 
 
-def validate(config: ExperimentConfig) -> tuple[list[str], list[str]]:
-    """(violations, warnings). Violations make the config unusable; warnings
-    flag values that diverge from the reference experimental defaults."""
-    violations: list[str] = []
-    warnings_: list[str] = []
+def validate(config: ExperimentConfig) -> list[str]:
+    """Raise ConfigError unless the sections agree (each checked its own fields
+    when built); else return warnings for values off the reference experiment."""
+    corpus, model, train = config.corpus, config.model, config.train
+    synthetic = corpus.kind == "synthetic"
+    needed = min_input_samples(model, config.frontend)
+    check([
+        (synthetic and model.num_speakers != corpus.num_speakers,
+         f"model.num_speakers ({model.num_speakers}) != "
+         f"corpus.num_speakers ({corpus.num_speakers})"),
+        (synthetic and corpus.sample_rate != config.frontend.sample_rate,
+         "corpus.sample_rate != frontend.sample_rate"),
+        (train.segment_length < needed,
+         f"train.segment_length ({train.segment_length}) below the "
+         f"model receptive field ({needed} samples)")])
 
-    if config.corpus.kind not in ("synthetic", "wav_dir"):
-        violations.append(f"corpus.kind: unknown kind {config.corpus.kind!r}")
-    if config.corpus.kind == "wav_dir" and not config.corpus.root:
-        violations.append("corpus.root: required when corpus.kind is wav_dir")
-    if config.corpus.kind == "synthetic":
-        if config.model.num_speakers != config.corpus.num_speakers:
-            violations.append(
-                f"model.num_speakers ({config.model.num_speakers}) != "
-                f"corpus.num_speakers ({config.corpus.num_speakers})")
-        if config.corpus.sample_rate != config.frontend.sample_rate:
-            violations.append("corpus.sample_rate != frontend.sample_rate")
-
-    attack = config.train.attack
-    if config.eval.epsilon < 0:
-        violations.append("eval.epsilon: must be >= 0")
-    if config.eval.split not in ("train", "test", "all"):
-        violations.append(f"eval.split: unknown split {config.eval.split!r}")
-    for i, scenario in enumerate(config.eval.scenarios):
-        where = f"eval.scenarios[{i}]"
-        if scenario.kind not in SCENARIO_KINDS:
-            violations.append(f"{where}.kind: unknown kind {scenario.kind!r}")
-        if scenario.kind in ("transfer", *SWEEP_KINDS) and scenario.attack not in ATTACKS:
-            violations.append(f"{where}.attack: unknown attack {scenario.attack!r} "
-                              f"(one of {', '.join(ATTACKS)})")
-        if scenario.iterations is not None and scenario.iterations < 1:
-            violations.append(f"{where}.iterations: must be >= 1")
-        if scenario.kind == "epsilon_sweep" and not scenario.epsilons:
-            violations.append(f"{where}: epsilon_sweep needs epsilons")
-        if any(e < 0 for e in scenario.epsilons):
-            violations.append(f"{where}.epsilons: must be >= 0")
-        if scenario.kind == "iteration_sweep" and not scenario.counts:
-            violations.append(f"{where}: iteration_sweep needs counts")
-        if any(t < 1 for t in scenario.counts):
-            violations.append(f"{where}.counts: must be >= 1")
-        if scenario.kind == "transfer" and not config.eval.source_checkpoint:
-            violations.append(f"{where}: transfer needs eval.source_checkpoint")
-        if scenario.epsilon is not None and scenario.epsilon < 0:
-            violations.append(f"{where}.epsilon: must be >= 0")
-        budget = config.eval.epsilon if scenario.epsilon is None else scenario.epsilon
-        if scenario.kind in SWEEP_KINDS and budget == 0:
-            violations.append(f"{where}: {scenario.kind} needs a budget > 0 "
-                              f"(eval.epsilon or the scenario's epsilon)")
-
-    if any(t < 1 for t in config.report.iterations):
-        violations.append("report.iterations: must be >= 1")
-
-    # receptive-field check: the training segment must survive the stack
-    needed = min_input_samples(config.model, config.frontend)
-    if config.train.segment_length < needed:
-        violations.append(
-            f"train.segment_length ({config.train.segment_length}) below the "
-            f"model receptive field ({needed} samples)")
-
-    if attack.epsilon != REFERENCE_EPSILON:
-        warnings_.append(
-            f"train.attack.epsilon = {attack.epsilon:g} differs from the reference "
-            f"budget {REFERENCE_EPSILON}")
-    if config.eval.epsilon not in (0.0, attack.epsilon):
-        warnings_.append(
-            f"eval.epsilon ({config.eval.epsilon:g}) != train.attack.epsilon "
-            f"({attack.epsilon:g}); budget sweeps do this deliberately")
-    return violations, warnings_
+    epsilon = train.attack.epsilon
+    return [message for diverges, message in [
+        (epsilon != REFERENCE_EPSILON, f"train.attack.epsilon = {epsilon:g} differs from "
+                                       f"the reference budget {REFERENCE_EPSILON}"),
+        (config.eval.epsilon not in (0.0, epsilon),
+         f"eval.epsilon ({config.eval.epsilon:g}) != train.attack.epsilon ({epsilon:g}); "
+         f"budget sweeps do this deliberately")] if diverges]
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import fingerprint, from_json, rng_for, stable_int, to_json
+from .util import ConfigError, check, fingerprint, from_json, rng_for, stable_int, to_json
 
 
-class CorpusError(ValueError):
-    pass
+class CorpusError(ConfigError):
+    def __init__(self, message: str):
+        super().__init__([message])
 
 
 @dataclass
@@ -200,10 +201,16 @@ class SynthConfig:
     tilt: float = 0.45
 
     def __post_init__(self):
-        if self.num_speakers < 2:
-            raise CorpusError("num_speakers must be >= 2")
-        if self.utterances_per_speaker < 2:
-            raise CorpusError("utterances_per_speaker must be >= 2")
+        check(self._rules())
+
+    def _rules(self) -> list[tuple[bool, str]]:
+        low, high = self.f0_range
+        return [(self.num_speakers < 2, "num_speakers: must be >= 2"),
+                (self.utterances_per_speaker < 2, "utterances_per_speaker: must be >= 2"),
+                (self.duration_s <= 0, "duration_s: must be > 0"),
+                (not 0 < low <= high, "f0_range: must satisfy 0 < low <= high"),
+                (self.harmonics < 1, "harmonics: must be >= 1"),
+                (self.rms <= 0, "rms: must be > 0")]
 
 
 def synth_corpus(config: SynthConfig) -> Corpus:

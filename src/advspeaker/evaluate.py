@@ -197,8 +197,7 @@ class AblationRow:
 
 
 def ablation_grid(corpus: Corpus, build_params, base_config: TrainConfig, *,
-                  seed: int, eval_iterations: int = 10, batch_size: int = 64,
-                  log_hook=None) -> list[AblationRow]:
+                  seed: int, eval_iterations: int = 10, batch_size: int = 64) -> list[AblationRow]:
     """Train one model per nonempty loss subset; evaluate under PGD and CW.
 
     ``build_params()`` must return freshly initialized ModelParams so every
@@ -212,7 +211,7 @@ def ablation_grid(corpus: Corpus, build_params, base_config: TrainConfig, *,
                          attack=replace(base_config.attack,
                                         weights=LossWeights(beta, gamma, zeta)))
         params = build_params()
-        records = fit(params, corpus, config, seed=seed, log_hook=log_hook)
+        records = fit(params, corpus, config, seed=seed)
         pgd_acc, _ = accuracy_under_attack(
             params, corpus, pgd_spec(config.attack.epsilon, eval_iterations),
             batch_size=batch_size, segment_length=config.segment_length, seed=seed)

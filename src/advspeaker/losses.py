@@ -103,8 +103,8 @@ class TransportPlan:
     distance: Value | float
     converged: bool
     iterations: int
-    marginal_error: float       # violation of the final (rounded) plan
-    scaling_residual: float = 0.0  # violation when the scaling loop stopped
+    marginal_error: float       # marginal error of the final (rounded) plan
+    scaling_residual: float = 0.0  # marginal error when the scaling loop stopped
 
 
 def ce_loss(logits, labels) -> Value:
@@ -154,7 +154,7 @@ def _round_to_feasible(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.n
 
     Scale rows then columns down where they overshoot, then spread the
     remaining mass as a rank-one correction. The total plan mass moved is
-    on the order of the incoming marginal violation, so the transport cost
+    on the order of the incoming marginal error, so the transport cost
     changes by at most that times max|cost|.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -179,7 +179,7 @@ def sinkhorn_ot(problem: TransportProblem, max_iters: int = 1000,
     marginals, starting from v = 1. These are the iterates of the
     log-domain form with u = exp(f / lambda) and v = exp(g / lambda); the
     kernel stays finite by the range rule ``TransportProblem`` enforces.
-    The loop runs until the marginal violation drops below ``tolerance``
+    The loop runs until the marginal error drops below ``tolerance``
     or the budget is spent; the plan is then rounded onto exact marginals.
     The returned plan is a plain array; when the cost is a Value the
     distance is the differentiable <plan, cost> with the plan held

@@ -39,9 +39,19 @@ def rng_for(*keys) -> np.random.Generator:
 # dataclasses <-> JSON
 
 class ConfigError(ValueError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+    """A config that cannot run. A section's error names its field before a
+    ``: `` (``iterations: must be >= 1``), or else is about the whole section."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
+
+
+def check(rules) -> None:
+    """Raise one ConfigError listing every failed ``(failed, message)`` rule."""
+    errors = [message for failed, message in rules if failed]
+    if errors:
+        raise ConfigError(errors)
 
 
 def to_json(value):
@@ -62,8 +72,9 @@ def from_json(default, raw, path: str = ""):
     each value is checked against its field's annotation: ``int``, ``float``
     (an int is a valid float and stays an int), ``str``, ``bool``,
     ``X | None``, fixed and ``...`` tuples (built from lists), lists, and
-    nested dataclasses, which start from the default's value. Any violation
-    raises ConfigError naming the field's dotted JSON path.
+    nested dataclasses, which start from the default's value. A wrong value,
+    or a rule its section checks when built, raises ConfigError naming the
+    field's dotted JSON path.
     """
     if isinstance(default, type):
         return _build(default, {}, raw, path)
@@ -88,6 +99,9 @@ def _build(cls, values: dict, raw, path: str):
         values[key] = _value(types_[key], value, where, values.get(key))
     try:
         return cls(**values)
+    except ConfigError as exc:  # "iterations: …" becomes "eval.scenarios[0].iterations: …"
+        raise ConfigError([f"{path}{'.' if ': ' in v else ': '}{v}" if path else v
+                           for v in exc.errors]) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"{path or 'config'}: {exc}"]) from exc
 

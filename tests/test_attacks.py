@@ -51,37 +51,60 @@ def test_init_same_seed_identical():
     assert np.array_equal(a, b)
 
 
+def ball(x, epsilon):
+    """The (lo, hi) bounds ``generate`` hands ``pgd_step``: the ball within [-1, 1]."""
+    return np.maximum(x - epsilon, -1.0), np.minimum(x + epsilon, 1.0)
+
+
 def test_pgd_step_saturates_at_ball_boundary():
     # scalar x=0, positive gradient, alpha=0.0004, eps=0.002: saturated after 5 steps
     x = np.zeros((1, 1))
     x_adv = x.copy()
     for _ in range(10):
-        x_adv = atk.pgd_step(x_adv, np.ones((1, 1)), x, alpha=0.0004, epsilon=0.002)
+        x_adv = atk.pgd_step(x_adv, np.ones((1, 1)), *ball(x, 0.002), alpha=0.0004)
     assert np.allclose(x_adv, 0.002)
 
 
 def test_pgd_step_zero_gradient_is_identity():
     x = np.full((1, 4), 0.5)
     x_adv = x + 0.001
-    out = atk.pgd_step(x_adv, np.zeros((1, 4)), x, alpha=0.01, epsilon=0.002)
+    out = atk.pgd_step(x_adv, np.zeros((1, 4)), *ball(x, 0.002), alpha=0.01)
     assert np.array_equal(out, x_adv)
 
 
 def test_pgd_step_projects_outside_candidate():
     x = np.zeros((1, 1))
-    out = atk.pgd_step(np.full((1, 1), 0.004), np.ones((1, 1)), x, alpha=0.001, epsilon=0.002)
+    out = atk.pgd_step(np.full((1, 1), 0.004), np.ones((1, 1)), *ball(x, 0.002), alpha=0.001)
     assert np.allclose(out, 0.002)
 
 
 def test_pgd_step_rejects_non_finite_gradient():
     with pytest.raises(ad.NonFiniteError):
-        atk.pgd_step(np.zeros((1, 2)), np.array([[np.nan, 0.0]]), np.zeros((1, 2)), 0.1, 0.2)
+        atk.pgd_step(np.zeros((1, 2)), np.array([[np.nan, 0.0]]), *ball(np.zeros((1, 2)), 0.2),
+                     0.1)
 
 
 def test_pgd_step_respects_waveform_range():
     x = np.full((1, 2), 0.9995)
-    out = atk.pgd_step(x.copy(), np.ones((1, 2)), x, alpha=0.01, epsilon=0.01)
+    out = atk.pgd_step(x.copy(), np.ones((1, 2)), *ball(x, 0.01), alpha=0.01)
     assert (out <= 1.0).all()
+
+
+def test_pgd_step_one_clip_bit_equals_the_ball_clip_then_the_range_clip():
+    rng = np.random.default_rng(12)
+    x = np.clip(rng.normal(size=(4, 256)) * 0.6, -1, 1)
+    x_adv = np.clip(x + rng.uniform(-0.01, 0.01, size=x.shape), -1, 1)
+    grad = rng.normal(size=x.shape)
+    two_clips = np.clip(np.clip(x_adv + 0.004 * np.sign(grad), x - 0.01, x + 0.01), -1, 1)
+    assert np.array_equal(atk.pgd_step(x_adv, grad, *ball(x, 0.01), alpha=0.004), two_clips)
+
+
+@pytest.mark.parametrize("outside", [1.5, -1.0000001, np.nan])
+def test_generate_rejects_a_clean_batch_outside_the_waveform_range(outside):
+    x = np.zeros((1, 5))
+    x[0, 2] = outside
+    with pytest.raises(ValueError, match="waveform range"):
+        atk.generate(linear_forward(np.ones((5, 2))), x, np.array([0]), atk.pgd_spec(0.002, 2))
 
 
 def test_attack_spec_validation():

@@ -32,9 +32,7 @@ def test_shipped_presets_all_validate():
     preset_files = sorted(PRESET_DIR.glob("*.json"))
     assert len(preset_files) == 6
     for path in preset_files:
-        config = cfg.load_config(path)
-        violations, _ = cfg.validate(config)
-        assert violations == [], f"{path.name}: {violations}"
+        cfg.validate(cfg.load_config(path))
 
 
 def test_preset_files_match_builtin_definitions():
@@ -60,23 +58,22 @@ def test_speaker_count_mismatch_is_a_violation():
     raw = micro_config_dict()
     raw["model"]["num_speakers"] = 7
     config = cfg.config_from_dict(raw)
-    violations, _ = cfg.validate(config)
-    assert any("num_speakers" in v for v in violations)
+    with pytest.raises(cfg.ConfigError, match="num_speakers"):
+        cfg.validate(config)
 
 
 def test_segment_below_receptive_field_is_a_violation():
     raw = micro_config_dict()
     raw["train"]["segment_length"] = 100
-    violations, _ = cfg.validate(cfg.config_from_dict(raw))
-    assert any("receptive field" in v for v in violations)
+    with pytest.raises(cfg.ConfigError, match="receptive field"):
+        cfg.validate(cfg.config_from_dict(raw))
 
 
 def test_train_eval_epsilon_divergence_warns_not_errors():
     raw = micro_config_dict()
     raw["eval"]["epsilon"] = 0.01
     config = cfg.config_from_dict(raw)
-    violations, warnings_ = cfg.validate(config)
-    assert violations == []
+    warnings_ = cfg.validate(config)
     assert any("eval.epsilon" in w for w in warnings_)
 
 
@@ -84,7 +81,7 @@ def test_nonreference_budget_warns():
     raw = micro_config_dict()
     raw["train"]["attack"]["epsilon"] = 0.004
     raw["eval"]["epsilon"] = 0.004
-    _, warnings_ = cfg.validate(cfg.config_from_dict(raw))
+    warnings_ = cfg.validate(cfg.config_from_dict(raw))
     assert any("reference" in w for w in warnings_)
 
 
@@ -423,7 +420,8 @@ def test_cli_report_over_two_checkpoints(tmp_path):
     assert csv.splitlines()[1].startswith("defense,clean,fgsm,pgd2,cw2,fs2")
 
 
-def test_cli_train_on_wav_dir_persists_manifest(tmp_path):
+def wav_dir_config(tmp_path):
+    """A one-epoch micro config on a directory of 3 speakers x 4 WAV files."""
     from advspeaker.data import write_wav
     rng = np.random.default_rng(2)
     wav_root = tmp_path / "corpus"
@@ -432,16 +430,27 @@ def test_cli_train_on_wav_dir_persists_manifest(tmp_path):
         d.mkdir(parents=True)
         for i in range(4):
             write_wav(d / f"u{i}.wav", rng.normal(size=800) * 0.1, 4000)
-
-    out = tmp_path / "run"
-    raw = micro_config_dict(out=str(out))
+    raw = micro_config_dict(out=str(tmp_path / "run"))
     raw["corpus"] = {"kind": "wav_dir", "root": str(wav_root), "split_seed": 1}
     raw["train"]["epochs"] = 1
-    path = write_config(tmp_path, raw)
+    return raw
+
+
+def test_cli_train_on_wav_dir_persists_manifest(tmp_path):
+    out = tmp_path / "run"
+    path = write_config(tmp_path, wav_dir_config(tmp_path))
     assert cli.main(["train", "--config", path]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["num_speakers"] == 3
     assert len(manifest["entries"]) == 12
+
+
+def test_wav_dir_speaker_count_must_match_the_model(tmp_path, capsys):
+    raw = wav_dir_config(tmp_path)
+    raw["model"]["num_speakers"] = 2
+    assert cli.main(["train", "--config", write_config(tmp_path, raw)]) == cli.EXIT_CONFIG
+    assert "corpus has 3 speakers != model.num_speakers 2" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.npz").exists()
 
 
 def test_cli_ablate_micro(tmp_path):
@@ -532,6 +541,12 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("train", ["train.epochs=2.5"], "train.epochs"),
     ("train", ['train.attack.beta="x"'], "train.attack.beta"),
     ("eval", ['eval.batch_size="x"'], "eval.batch_size"),
+    ("eval", ["eval.batch_size=0"], "eval.batch_size"),
+    ("eval", ["eval.batch_size=-3"], "eval.batch_size"),
+    ("train", ["corpus.duration_s=-1"], "corpus.duration_s"),
+    ("train", ["corpus.f0_range=[300, 100]"], "corpus.f0_range"),
+    ("train", ["corpus.harmonics=0"], "corpus.harmonics"),
+    ("train", ["corpus.rms=0"], "corpus.rms"),
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):
@@ -542,6 +557,57 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
         argv += ["--set", expr]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build, fields", [
+    (lambda: cfg.EvalSection(batch_size=0), ["batch_size"]),
+    (lambda: cfg.ScenarioSection("pgd", iterations=0, epsilon=-1), ["iterations", "epsilon"]),
+    (lambda: cfg.ReportSection(iterations=[0]), ["iterations"]),
+    (lambda: cfg.CorpusSection(kind="wav_dir"), ["root"]),
+], ids=["eval", "scenario", "report", "corpus"])
+def test_a_section_refuses_its_own_bad_fields_when_built(build, fields):
+    with pytest.raises(cfg.ConfigError) as caught:
+        build()
+    assert [v.split(":")[0] for v in caught.value.errors] == fields
+
+
+def test_section_errors_are_reported_under_the_section_json_path():
+    raw = {"eval": {"scenarios": [{"kind": "clean"}, {"kind": "epsilon_sweep", "iterations": 0}]}}
+    with pytest.raises(cfg.ConfigError) as caught:
+        cfg.config_from_dict(raw)
+    assert caught.value.errors == ["eval.scenarios[1].iterations: must be >= 1",
+                                   "eval.scenarios[1]: epsilon_sweep needs epsilons"]
+
+
+# perfbench/workloads.py builds its configs from these presets with these
+# overrides ({seed} is the run's seed, the second list of each pair its smoke
+# run's), plus one SynthConfig of its own for paper-attack. A rule that
+# refused one of them would turn every benchmark run into a failure.
+BENCHMARK_OVERRIDES = [
+    ("desk-hat", ["corpus.seed={seed}"]),
+    ("desk-hat", ["corpus.seed={seed}", "corpus.utterances_per_speaker=4",
+                  "train.attack.iterations=2", "train.sinkhorn.max_iters=20"]),
+    ("desk-standard", ["corpus.seed={seed}"]),
+    ("desk-standard", ["corpus.seed={seed}", "corpus.utterances_per_speaker=4",
+                       "train.attack.iterations=2", "train.sinkhorn.max_iters=20"]),
+    ("desk-standard", ["train.epochs=1"]),
+    ("desk-standard", ["train.epochs=1", "corpus.utterances_per_speaker=8"]),
+    ("paper-hat", []),
+    ("paper-hat", ["train.attack.iterations=2"]),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_benchmark_configs_pass_every_rule(seed):
+    from advspeaker.data import SynthConfig
+
+    for preset, overrides in BENCHMARK_OVERRIDES:
+        raw = json.loads((PRESET_DIR / f"{preset}.json").read_text())
+        cfg.validate(cfg.config_from_dict(
+            cfg.apply_overrides(raw, [o.format(seed=seed) for o in overrides])))
+    for speakers, seconds in ((32, 3.0), (8, 1.5)):
+        SynthConfig(num_speakers=speakers, utterances_per_speaker=2, duration_s=seconds,
+                    sample_rate=16000, seed=seed)
 
 
 def test_sinkhorn_regularization_outside_the_kernel_range_exits_2(tmp_path, capsys):
