@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Value
 from .losses import LossWeights, SinkhornSettings, hybrid_loss
+from .util import check
 
 WAVE_MIN, WAVE_MAX = -1.0, 1.0
 
@@ -45,14 +46,11 @@ class AttackSpec:
     margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        check([(self.epsilon <= 0, "epsilon: must be > 0"),
+               (self.iterations < 1, "iterations: must be >= 1"),
+               (self.alpha is not None and self.alpha <= 0, "alpha: must be > 0")])
         if self.alpha is None:
             object.__setattr__(self, "alpha", default_alpha(self.epsilon, self.iterations))
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
 
 def default_alpha(epsilon: float, iterations: int) -> float:

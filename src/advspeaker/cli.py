@@ -146,22 +146,23 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
     corpus = build_corpus(config)
     params = _load_checkpoint_or_missing(config.eval.target_checkpoint,
                                          "eval.target_checkpoint", corpus)
-    source_params = None
+    source = None  # the transfer scenarios' attacker
     if any(s.kind == "transfer" for s in config.eval.scenarios):
-        source_params = _load_checkpoint_or_missing(config.eval.source_checkpoint,
-                                                    "eval.source_checkpoint", corpus)
+        source = model_forward_fn(_load_checkpoint_or_missing(
+            config.eval.source_checkpoint, "eval.source_checkpoint", corpus))
     fp, seed, kwargs = config.fingerprint(), config.eval.seed, _eval_kwargs(config)
     report = ev.RobustnessReport(
         target_name=str(config.eval.target_checkpoint), config_fingerprint=fp,
         corpus_fingerprint=corpus.fingerprint, global_seed=config.seed)
     curves_csv: list[str] = []
     for scenario in config.eval.scenarios:
-        source, source_name = None, None
+        attacker, source_name = None, None
         if scenario.kind == "transfer":
-            source, source_name = source_params, str(config.eval.source_checkpoint)
+            attacker, source_name = source, str(config.eval.source_checkpoint)
         curve = []
         for point, name, spec in _cells(scenario, config.eval):
-            acc, snr = ev.accuracy_under_attack(params, corpus, spec, source=source, **kwargs)
+            acc, snr = ev.accuracy_under_attack(params, corpus, spec, attacker=attacker,
+                                                **kwargs)
             finite = snr[np.isfinite(snr)]
             report.entries.append(ev.ReportEntry(
                 name, acc, ev.attack_dict(spec), source_name, seed,
@@ -296,11 +297,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        config = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.out is not None:
-            config.output_dir = args.out
+        flags = (("seed", args.seed), ("output_dir", args.out))
+        config = load_config(args.config, args.overrides + [
+            f"{key}={json.dumps(value)}" for key, value in flags if value is not None])
         for w in validate(config):
             print(f"warning: {w}", file=sys.stderr)
 

@@ -33,13 +33,14 @@ class CorpusSection(SynthConfig):
         return super()._rules() + [
             (self.kind not in ("synthetic", "wav_dir"), f"kind: unknown kind {self.kind!r}"),
             (self.kind == "wav_dir" and not self.root,
-             "root: required when corpus.kind is wav_dir")]
+             "root: required when corpus.kind is wav_dir"),
+            (self.split_seed < 0, "split_seed: must be >= 0")]
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(**{f.name: getattr(self, f.name) for f in fields(SynthConfig)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSection:
     kind: str                            # clean|fgsm|pgd|cw|fs|hybrid|transfer|epsilon_sweep|iteration_sweep
     attack: str = "pgd"                  # inner attack for transfer/sweeps
@@ -65,7 +66,7 @@ SWEEP_KINDS = ("epsilon_sweep", "iteration_sweep")
 SCENARIO_KINDS = ("clean", *ATTACKS, "transfer", *SWEEP_KINDS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalSection:
     batch_size: int = 40
     split: str = "test"
@@ -84,6 +85,7 @@ class EvalSection:
     def __post_init__(self):
         rules = [(self.batch_size < 1, "batch_size: must be >= 1"),
                  (self.epsilon < 0, "epsilon: must be >= 0"),
+                 (self.seed < 0, "seed: must be >= 0"),
                  (self.split not in ("train", "test", "all"),
                   f"split: unknown split {self.split!r}")]
         for i, s in enumerate(self.scenarios):
@@ -96,7 +98,7 @@ class EvalSection:
         check(rules)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportSection:
     checkpoints: list[tuple[str, str]] = field(default_factory=list)
     iterations: list[int] = field(default_factory=lambda: [10, 40])
@@ -105,7 +107,7 @@ class ReportSection:
         check([(any(t < 1 for t in self.iterations), "iterations: must be >= 1")])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 7
     output_dir: str = "runs/experiment"
@@ -116,6 +118,9 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=30))
     eval: EvalSection = field(default_factory=EvalSection)
     report: ReportSection = field(default_factory=ReportSection)
+
+    def __post_init__(self):
+        check([(self.seed < 0, "seed: must be >= 0")])
 
     def to_dict(self) -> dict:
         d = to_json(self)
@@ -183,9 +188,10 @@ def apply_overrides(raw: dict, overrides) -> dict:
         keys, value = parse_override(expr)
         node = raw
         for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigError([f"override {expr!r}: {key} is not a section"])
+            node = node.setdefault(key, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigError([f"override {expr!r}: "
+                               f"{'.'.join(keys[:-1]) or 'the config'} is not a section"])
         node[keys[-1]] = value
     return raw
 

@@ -207,7 +207,10 @@ class SynthConfig:
         low, high = self.f0_range
         return [(self.num_speakers < 2, "num_speakers: must be >= 2"),
                 (self.utterances_per_speaker < 2, "utterances_per_speaker: must be >= 2"),
-                (self.duration_s <= 0, "duration_s: must be > 0"),
+                (self.sample_rate < 1, "sample_rate: must be >= 1"),
+                (round(self.duration_s * self.sample_rate) < 1,
+                 "duration_s: must last at least one sample at sample_rate"),
+                (self.seed < 0, "seed: must be >= 0"),
                 (not 0 < low <= high, "f0_range: must satisfy 0 < low <= high"),
                 (self.harmonics < 1, "harmonics: must be >= 1"),
                 (self.rms <= 0, "rms: must be > 0")]

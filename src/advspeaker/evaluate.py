@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import (AttackSpec, cw_spec, fgsm_spec, generate, model_forward_fn,
-                      pgd_spec, spec_with)
+from .attacks import (AttackSpec, ForwardFn, cw_spec, fgsm_spec, generate,
+                      model_forward_fn, pgd_spec, spec_with)
 from .data import Corpus, batch_iter
 from .losses import LossWeights, SinkhornSettings
 from .model import ModelParams, forward_logits
@@ -83,24 +83,19 @@ def attack_dict(spec: AttackSpec | None) -> dict | None:
 
 def accuracy_under_attack(target: ModelParams, corpus: Corpus,
                           spec: AttackSpec | None, *,
-                          source: ModelParams | None = None,
-                          forward_override=None,
+                          attacker: ForwardFn | None = None,
                           batch_size: int = 64, segment_length: int | None = None,
                           seed: int = 0, split: str = "test",
                           sinkhorn: SinkhornSettings = SinkhornSettings()
                           ) -> tuple[float, np.ndarray]:
     """Percent accuracy on the split under the attack; returns (acc, per-sample SNR).
 
-    Adversaries are crafted on ``source`` when given (transfer setting),
-    otherwise on the target itself (white-box). ``spec=None`` means clean
-    evaluation, which is also what a zero budget degenerates to.
-    ``forward_override`` substitutes the attacked forward function (used by
-    the gradient-masking negative control).
+    Adversaries are crafted on ``attacker`` when given (a transfer source,
+    or the gradient-masking negative control), otherwise on the target
+    itself (white-box). ``spec=None`` means clean evaluation, which is also
+    what a zero budget degenerates to.
     """
-    if forward_override is not None:
-        attacked_forward = forward_override
-    else:
-        attacked_forward = model_forward_fn(source if source is not None else target)
+    attacked_forward = model_forward_fn(target) if attacker is None else attacker
     correct = total = 0
     snrs = []
     for x, y, adv in attack_batches(attacked_forward, corpus, spec, batch_size=batch_size,
@@ -140,7 +135,8 @@ def clean_accuracy(target: ModelParams, corpus: Corpus, **kwargs) -> float:
 def transfer_eval(source: ModelParams, target: ModelParams, corpus: Corpus,
                   spec: AttackSpec, **kwargs) -> float:
     """Black-box setting: adversaries from the source, accuracy on the target."""
-    acc, _ = accuracy_under_attack(target, corpus, spec, source=source, **kwargs)
+    acc, _ = accuracy_under_attack(target, corpus, spec, attacker=model_forward_fn(source),
+                                   **kwargs)
     return acc
 
 
@@ -266,7 +262,7 @@ def masking_checks(target: ModelParams, sources: dict[str, ModelParams],
     (c) accuracy collapses (<= 5%) once the budget grows large.
     """
     kwargs = dict(batch_size=batch_size, segment_length=segment_length, seed=seed,
-                  split=split, forward_override=forward_override)
+                  split=split, attacker=forward_override)
     pgd = pgd_spec(epsilon, iterations)
     white_pgd, _ = accuracy_under_attack(target, corpus, pgd, **kwargs)
     white_fgsm, _ = accuracy_under_attack(target, corpus, fgsm_spec(epsilon), **kwargs)

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
+from .util import check
 
 
 @dataclass(frozen=True)
@@ -27,16 +28,13 @@ class FrontendConfig:
     log_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.window_length > self.fft_size:
-            raise ValueError(f"window_length {self.window_length} > fft_size {self.fft_size}")
-        if self.hop_length > self.window_length:
-            raise ValueError(f"hop_length {self.hop_length} > window_length {self.window_length}")
-        if self.hop_length < 1 or self.window_length < 2:
-            raise ValueError("hop_length and window_length must be positive")
-        if self.mel_bins < 1:
-            raise ValueError("mel_bins must be >= 1")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be > 0")
+        check([(self.sample_rate < 1, "sample_rate: must be >= 1"),
+               (not 2 <= self.window_length <= self.fft_size,
+                f"window_length: must be >= 2 and <= fft_size ({self.fft_size})"),
+               (not 1 <= self.hop_length <= self.window_length,
+                f"hop_length: must be >= 1 and <= window_length ({self.window_length})"),
+               (self.mel_bins < 1, "mel_bins: must be >= 1"),
+               (self.log_floor <= 0, "log_floor: must be > 0")])
 
 
 def hz_to_mel(f):

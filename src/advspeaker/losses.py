@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
+from .util import check
 
 
 # exp(-745) underflows to 0 in float64; 700 leaves the kernel normal
@@ -37,9 +38,8 @@ class SinkhornConvergenceWarning(RuntimeWarning):
     pass
 
 
-def _check_budget(max_iters: int, tolerance: float) -> None:
-    if max_iters < 1 or tolerance <= 0:
-        raise ValueError("max_iters must be >= 1 and tolerance > 0")
+def _budget_rules(max_iters: int, tolerance: float) -> list[tuple[bool, str]]:
+    return [(max_iters < 1, "max_iters: must be >= 1"), (tolerance <= 0, "tolerance: must be > 0")]
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,8 @@ class LossWeights:
     zeta: float = 1.0
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "zeta"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        check([(not np.isfinite(v) or v < 0, f"{name}: must be finite and >= 0")
+               for name, v in zip(("beta", "gamma", "zeta"), self.as_tuple())])
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.beta, self.gamma, self.zeta)
@@ -67,10 +65,9 @@ class SinkhornSettings:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.regularization < MIN_REGULARIZATION:
-            raise ValueError(f"regularization must be >= {MIN_REGULARIZATION}, "
-                             f"got {self.regularization}")
-        _check_budget(self.max_iters, self.tolerance)
+        check([(self.regularization < MIN_REGULARIZATION,
+                f"regularization: must be >= {MIN_REGULARIZATION}"),
+               *_budget_rules(self.max_iters, self.tolerance)])
 
 
 @dataclass
@@ -186,7 +183,7 @@ def sinkhorn_ot(problem: TransportProblem, max_iters: int = 1000,
     constant. A loop that did not reach tolerance is reported via
     ``converged=False``, never as an exception.
     """
-    _check_budget(max_iters, tolerance)
+    check(_budget_rules(max_iters, tolerance))
     cost_value = problem.cost if isinstance(problem.cost, Value) else None
     cost = problem.cost.data if cost_value is not None else np.asarray(problem.cost, dtype=np.float64)
     mu, nu = problem.mu, problem.nu

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value
 from .frontend import FrontendConfig, FrontendOps, log_mel
-from .util import ConfigError, from_json, to_json
+from .util import ConfigError, check, from_json, to_json
 
 CHECKPOINT_VERSION = 1
 
@@ -33,16 +33,13 @@ class SpeakerCNNConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
-        if len(self.channels) != self.num_stacks:
-            raise ValueError(f"channels has {len(self.channels)} entries for {self.num_stacks} stacks")
-        if any(c < 1 for c in self.channels):
-            raise ValueError("all channel counts must be >= 1")
-        if self.kernel_size < 1 or self.pool_width < 2:
-            raise ValueError("kernel_size must be >= 1 and pool_width >= 2")
-        if self.num_speakers < 2:
-            raise ValueError("num_speakers must be >= 2")
-        if self.pool_every < 1:
-            raise ValueError("pool_every must be >= 1")
+        check([(len(self.channels) != self.num_stacks,
+                f"channels: has {len(self.channels)} entries for {self.num_stacks} stacks"),
+               (any(c < 1 for c in self.channels), "channels: must all be >= 1"),
+               (self.kernel_size < 1, "kernel_size: must be >= 1"),
+               (self.pool_every < 1, "pool_every: must be >= 1"),
+               (self.pool_width < 2, "pool_width: must be >= 2"),
+               (self.num_speakers < 2, "num_speakers: must be >= 2")])
 
     @classmethod
     def tiny(cls, num_speakers: int) -> "SpeakerCNNConfig":

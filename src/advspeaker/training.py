@@ -23,7 +23,7 @@ from .autodiff import NonFiniteError, Value
 from .data import Corpus, batch_iter
 from .losses import SinkhornSettings, ce_loss
 from .model import ModelParams, forward_logits, save_checkpoint
-from .util import to_json
+from .util import check, to_json
 
 # The named attack each single-objective defense trains against; HAT trains
 # against the configured attack as given, standard training against none.
@@ -53,17 +53,15 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only at the end
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.defense not in DEFENSE_KINDS:
-            raise ValueError(f"defense must be one of {DEFENSE_KINDS}, got {self.defense!r}")
-        if not self.lr_schedule or any(lr <= 0 for _, lr in self.lr_schedule):
-            raise ValueError("lr_schedule must be nonempty with positive rates")
         thresholds = [t for t, _ in self.lr_schedule]
-        if thresholds != sorted(thresholds):
-            raise ValueError("lr_schedule thresholds must be ascending")
+        check([(self.epochs < 1, "epochs: must be >= 1"),
+               (self.batch_size < 1, "batch_size: must be >= 1"),
+               (self.defense not in DEFENSE_KINDS,
+                f"defense: unknown defense {self.defense!r} (one of {', '.join(DEFENSE_KINDS)})"),
+               (not self.lr_schedule or any(lr <= 0 for _, lr in self.lr_schedule),
+                "lr_schedule: must be nonempty with positive rates"),
+               (thresholds != sorted(thresholds), "lr_schedule: thresholds must be ascending"),
+               (self.checkpoint_every < 0, "checkpoint_every: must be >= 0")])
 
 
 def lr_at(schedule, epoch: int) -> float:

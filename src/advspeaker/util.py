@@ -102,7 +102,7 @@ def _build(cls, values: dict, raw, path: str):
     except ConfigError as exc:  # "iterations: …" becomes "eval.scenarios[0].iterations: …"
         raise ConfigError([f"{path}{'.' if ': ' in v else ': '}{v}" if path else v
                            for v in exc.errors]) from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a required field left out
         raise ConfigError([f"{path or 'config'}: {exc}"]) from exc
 
 

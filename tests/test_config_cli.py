@@ -8,6 +8,7 @@ import pytest
 
 from advspeaker import cli
 from advspeaker import config as cfg
+from advspeaker.attacks import pgd_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PRESET_DIR = REPO_ROOT / "configs"
@@ -375,15 +376,21 @@ def test_cli_validate_prints_each_warning_once(tmp_path, capsys):
     assert "config ok" in out
 
 
-def test_cli_set_overrides_and_seed_flag(tmp_path):
-    out = tmp_path / "run"
-    raw = micro_config_dict(out=str(out))
-    path = write_config(tmp_path, raw)
+def test_cli_set_overrides_and_seed_flag(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, micro_config_dict(out=str(tmp_path / "run")))
     assert cli.main(["train", "--config", path, "--set", "train.epochs=1",
-                     "--seed", "42"]) == 0
-    resolved = json.loads((out / "config.resolved.json").read_text())
+                     "--seed", "42", "--out", "123"]) == 0
+    resolved = json.loads((tmp_path / "123" / "config.resolved.json").read_text())
     assert resolved["train"]["epochs"] == 1
     assert resolved["seed"] == 42
+    assert resolved["output_dir"] == "123"
+
+
+def test_cli_seed_flag_meets_the_seed_rule(tmp_path, capsys):
+    path = write_config(tmp_path, micro_config_dict())
+    assert cli.main(["validate", "--config", path, "--seed", "-1"]) == cli.EXIT_CONFIG
+    assert "error: seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_output_lock_excludes_concurrent_runs(tmp_path):
@@ -547,6 +554,14 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("train", ["corpus.f0_range=[300, 100]"], "corpus.f0_range"),
     ("train", ["corpus.harmonics=0"], "corpus.harmonics"),
     ("train", ["corpus.rms=0"], "corpus.rms"),
+    ("train", ["seed=-1"], "seed"),
+    ("train", ["corpus.seed=-1"], "corpus.seed"),
+    ("eval", ["eval.seed=-1"], "eval.seed"),
+    ("train", ["corpus.split_seed=-1"], "corpus.split_seed"),
+    ("train", ["corpus.duration_s=0.00001"], "corpus.duration_s"),
+    ("train", ["frontend.sample_rate=-16000", "corpus.sample_rate=-16000"],
+     "corpus.sample_rate"),
+    ("train", ["train.checkpoint_every=-1"], "train.checkpoint_every"),
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):
@@ -564,11 +579,35 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
     (lambda: cfg.ScenarioSection("pgd", iterations=0, epsilon=-1), ["iterations", "epsilon"]),
     (lambda: cfg.ReportSection(iterations=[0]), ["iterations"]),
     (lambda: cfg.CorpusSection(kind="wav_dir"), ["root"]),
-], ids=["eval", "scenario", "report", "corpus"])
+    (lambda: cfg.TrainConfig(epochs=1, batch_size=0), ["batch_size"]),
+    (lambda: cfg.SpeakerCNNConfig(kernel_size=0, pool_width=1), ["kernel_size", "pool_width"]),
+    (lambda: cfg.FrontendConfig(sample_rate=0), ["sample_rate"]),
+    (lambda: pgd_spec(0.002, alpha=-1.0), ["alpha"]),
+    (lambda: cfg.LossWeights(gamma=-1.0), ["gamma"]),
+    (lambda: cfg.SinkhornSettings(max_iters=0), ["max_iters"]),
+], ids=["eval", "scenario", "report", "corpus", "train", "model", "frontend", "attack",
+        "weights", "sinkhorn"])
 def test_a_section_refuses_its_own_bad_fields_when_built(build, fields):
     with pytest.raises(cfg.ConfigError) as caught:
         build()
     assert [v.split(":")[0] for v in caught.value.errors] == fields
+
+
+def test_every_config_dataclass_is_frozen():
+    import dataclasses
+    import typing
+
+    from advspeaker.util import _field_types
+
+    seen, hints = set(), [cfg.ExperimentConfig]
+    while hints:
+        hint = hints.pop()
+        if dataclasses.is_dataclass(hint) and hint not in seen:
+            seen.add(hint)
+            hints += _field_types(hint).values()
+        hints += typing.get_args(hint)
+    assert len(seen) == 11
+    assert [c.__name__ for c in seen if not c.__dataclass_params__.frozen] == []
 
 
 def test_section_errors_are_reported_under_the_section_json_path():
