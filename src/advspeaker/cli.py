@@ -5,6 +5,11 @@ driven by one JSON config (plus dotted --set overrides), owns its output
 directory through a lock file, and stamps artifacts with the config
 fingerprint and global seed.
 
+Every table comes from one path: `_evaluate` runs one checkpoint over a
+list of scenarios and `_write_report` writes its report. `eval` does this
+once, `report` once per row (and tabulates the reports' entries), and
+`ablate` is seven `train` runs, one per loss subset, then `report`.
+
 Exit codes: 0 success, 2 config error (a checkpoint trained on another corpus
 included), 3 numeric failure, 4 missing or unreadable artifact.
 """
@@ -14,15 +19,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate as ev
-from .attacks import ATTACKS, AttackSpec, attack_spec, model_forward_fn, spec_with
+from .attacks import (ATTACKS, AttackSpec, ForwardFn, attack_spec, model_forward_fn,
+                      spec_with)
 from .autodiff import NonFiniteError
 from .config import ConfigError, ExperimentConfig, ScenarioSection, check, load_config, validate
 from .data import Corpus, ingest, load_corpus, save_manifest, synth_corpus, write_wav
+from .losses import LossWeights
 from .model import CheckpointError, build, load_checkpoint
 from .training import fit
 
@@ -33,6 +41,11 @@ EXIT_MISSING = 4
 
 # The multi-step attacks of the `report` comparison table, one column per T.
 REPORT_ATTACKS = ("pgd", "cw", "fs")
+
+# The loss terms `ablate` trains HAT with, each at weight 1: every nonempty
+# subset of CE, FS and the margin loss (M).
+ABLATION_SUBSETS = (("CE",), ("FS",), ("M",), ("CE", "FS"), ("CE", "M"), ("FS", "M"),
+                    ("CE", "FS", "M"))
 
 
 class OutputLock:
@@ -142,20 +155,17 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
-    corpus = build_corpus(config)
-    params = _load_checkpoint_or_missing(config.eval.target_checkpoint,
-                                         "eval.target_checkpoint", corpus)
-    source = None  # the transfer scenarios' attacker
-    if any(s.kind == "transfer" for s in config.eval.scenarios):
-        source = model_forward_fn(_load_checkpoint_or_missing(
-            config.eval.source_checkpoint, "eval.source_checkpoint", corpus))
+def _evaluate(config: ExperimentConfig, corpus: Corpus, params, target_name: str,
+              scenarios, source: ForwardFn | None = None
+              ) -> tuple[ev.RobustnessReport, list[str]]:
+    """One checkpoint over ``scenarios``: its report, and a CSV curve per sweep.
+    ``source`` is the transfer scenarios' attacker forward function."""
     fp, seed, kwargs = config.fingerprint(), config.eval.seed, _eval_kwargs(config)
     report = ev.RobustnessReport(
-        target_name=str(config.eval.target_checkpoint), config_fingerprint=fp,
+        target_name=target_name, config_fingerprint=fp,
         corpus_fingerprint=corpus.fingerprint, global_seed=config.seed)
     curves_csv: list[str] = []
-    for scenario in config.eval.scenarios:
+    for scenario in scenarios:
         attacker, source_name = None, None
         if scenario.kind == "transfer":
             attacker, source_name = source, str(config.eval.source_checkpoint)
@@ -177,13 +187,30 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
             curves_csv.append(ev.curve_csv(
                 curve, label, seed, header_note=f"{scenario.kind.replace('_', ' ')}; "
                                                 f"fingerprint={fp} seed={config.seed}"))
+    return report, curves_csv
 
+
+def _write_report(report: ev.RobustnessReport, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.jsonl").write_text(report.to_jsonl())
     (out_dir / "report.txt").write_text(report.render_table())
+    print(f"report hash {report.content_hash()} -> {out_dir / 'report.jsonl'}")
+
+
+def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
+    corpus = build_corpus(config)
+    params = _load_checkpoint_or_missing(config.eval.target_checkpoint,
+                                         "eval.target_checkpoint", corpus)
+    source = None
+    if any(s.kind == "transfer" for s in config.eval.scenarios):
+        source = model_forward_fn(_load_checkpoint_or_missing(
+            config.eval.source_checkpoint, "eval.source_checkpoint", corpus))
+    report, curves_csv = _evaluate(config, corpus, params, str(config.eval.target_checkpoint),
+                                   config.eval.scenarios, source)
     if curves_csv:
         (out_dir / "curves.csv").write_text("".join(curves_csv))
     print(report.render_table())
-    print(f"report hash {report.content_hash()} -> {out_dir / 'report.jsonl'}")
+    _write_report(report, out_dir)
     return EXIT_OK
 
 
@@ -219,43 +246,48 @@ def cmd_attack(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_ablate(config: ExperimentConfig, out_dir: Path) -> int:
-    corpus = build_corpus(config)
-    rows = ev.ablation_grid(
-        corpus, lambda: build(config.model, config.frontend, config.seed),
-        config.train, seed=config.seed, batch_size=config.eval.batch_size)
-    csv = ev.ablation_csv(rows)
-    (out_dir / "ablation.csv").write_text(
-        f"# fingerprint={config.fingerprint()} seed={config.seed}\n" + csv)
-    print(csv)
-    return EXIT_OK
+    """Train HAT once per loss subset into ``out_dir/<subset>/``, then report on them."""
+    checkpoints = []
+    for subset in ABLATION_SUBSETS:
+        name = "+".join(subset)
+        subset_dir = out_dir / name
+        subset_dir.mkdir(exist_ok=True)
+        weights = LossWeights(*(float(term in subset) for term in ("CE", "FS", "M")))
+        train = replace(config.train, defense="hat",
+                        attack=replace(config.train.attack, weights=weights))
+        cmd_train(replace(config, output_dir=str(subset_dir), train=train), subset_dir)
+        checkpoints.append((name, str(subset_dir / "checkpoint.npz")))
+    report = replace(config.report, checkpoints=tuple(checkpoints))
+    return cmd_report(replace(config, report=report), out_dir)
 
 
 def cmd_report(config: ExperimentConfig, out_dir: Path) -> int:
+    """One report per checkpoint in ``out_dir/<row name>/``, and a table of them."""
     if not config.report.checkpoints:
         raise ConfigError(["report.checkpoints: nothing to compare"])
     corpus = build_corpus(config)
-    loaded = [(name, _load_checkpoint_or_missing(path, f"report checkpoint {name!r}", corpus))
+    loaded = [(name, path, _load_checkpoint_or_missing(path, f"report checkpoint {name!r}",
+                                                       corpus))
               for name, path in config.report.checkpoints]
 
-    iterations = [10, 20, 40] if config.eval.full_grid else list(config.report.iterations)
+    iterations = [10, 20, 40] if config.eval.full_grid else config.report.iterations
     scenarios = [ScenarioSection("clean"), ScenarioSection("fgsm")] + [
         ScenarioSection(kind, iterations=t) for kind in REPORT_ATTACKS for t in iterations]
-    cells = {name: spec for scenario in scenarios
-             for _, name, spec in _cells(scenario, config.eval)}
-    kwargs = _eval_kwargs(config)
     rows = []
-    for name, params in loaded:
-        rows.append((name, [ev.accuracy_under_attack(params, corpus, spec, **kwargs)[0]
-                            for spec in cells.values()]))
-        print(f"evaluated {name}")
+    for name, path, params in loaded:
+        report, _ = _evaluate(config, corpus, params, path, scenarios)
+        _write_report(report, out_dir / name)
+        rows.append((name, {e.name: e.accuracy for e in report.entries}))
+    columns = list(rows[0][1])
 
     stamp = f"# fingerprint={config.fingerprint()} seed={config.seed}"
     width = max(len(name) for name, _ in rows)
     table = [f"{stamp} eps={config.eval.epsilon:g}",
-             "defense".ljust(width) + "".join(f"  {c:>8}" for c in cells)]
-    table += [name.ljust(width) + "".join(f"  {a:8.2f}" for a in accs) for name, accs in rows]
-    csv = [stamp, "defense," + ",".join(cells)]
-    csv += [name + "," + ",".join(f"{a:.2f}" for a in accs) for name, accs in rows]
+             "defense".ljust(width) + "".join(f"  {c:>8}" for c in columns)]
+    table += [name.ljust(width) + "".join(f"  {accs[c]:8.2f}" for c in columns)
+              for name, accs in rows]
+    csv = [stamp, "defense," + ",".join(columns)]
+    csv += [name + "," + ",".join(f"{accs[c]:.2f}" for c in columns) for name, accs in rows]
     text = "\n".join(table) + "\n"
     (out_dir / "comparison.txt").write_text(text)
     (out_dir / "comparison.csv").write_text("\n".join(csv) + "\n")

@@ -11,13 +11,13 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON
+from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON, AttackSpec
 from .data import SynthConfig
 from .frontend import FrontendConfig
 from .losses import LossWeights, SinkhornSettings
 from .model import SpeakerCNNConfig, min_input_samples
 from .training import PAPER_LR_SCHEDULE, TrainConfig, default_train_attack
-from .util import ConfigError, check, fingerprint, from_json, to_json
+from .util import ConfigError, check, fingerprint, from_json, gather, to_json
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class ScenarioSection:
     attack: str = "pgd"                  # inner attack for transfer/sweeps
     iterations: int | None = None
     epsilon: float | None = None
-    epsilons: list[float] = field(default_factory=list)
-    counts: list[int] = field(default_factory=list)
+    epsilons: tuple[float, ...] = ()
+    counts: tuple[int, ...] = ()
 
     def __post_init__(self):
         check([
@@ -76,11 +76,11 @@ class EvalSection:
     target_checkpoint: str | None = None
     source_checkpoint: str | None = None
     full_grid: bool = False
-    scenarios: list[ScenarioSection] = field(default_factory=lambda: [
+    scenarios: tuple[ScenarioSection, ...] = (
         ScenarioSection("clean"), ScenarioSection("fgsm"),
         ScenarioSection("pgd", iterations=10), ScenarioSection("cw", iterations=10),
         ScenarioSection("fs", iterations=10), ScenarioSection("hybrid", iterations=10),
-    ])
+    )
 
     def __post_init__(self):
         rules = [(self.batch_size < 1, "batch_size: must be >= 1"),
@@ -100,11 +100,17 @@ class EvalSection:
 
 @dataclass(frozen=True)
 class ReportSection:
-    checkpoints: list[tuple[str, str]] = field(default_factory=list)
-    iterations: list[int] = field(default_factory=lambda: [10, 40])
+    checkpoints: tuple[tuple[str, str], ...] = ()  # (row name, checkpoint path)
+    iterations: tuple[int, ...] = (10, 40)
 
     def __post_init__(self):
-        check([(any(t < 1 for t in self.iterations), "iterations: must be >= 1")])
+        names = [name for name, _ in self.checkpoints]  # each names a directory of `report`
+        check([(any(t < 1 for t in self.iterations), "iterations: must be >= 1")]
+              + [(name in ("", ".", "..") or "/" in name,
+                  f"checkpoints: row name {name!r} must be one path component")
+                 for name in names]
+              + [(names.count(name) > 1, f"checkpoints: row name {name!r} is repeated")
+                 for name in dict.fromkeys(names)])
 
 
 @dataclass(frozen=True)
@@ -137,21 +143,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     ``util.from_json`` checks every field against its annotation. The one
     layout rule is ``train.attack``'s: its loss weights are written flat
-    beside the budget, and an unstated alpha follows epsilon and T.
+    beside the budget, and an unstated alpha follows epsilon and T. Its
+    errors are listed with the other sections'.
     """
     raw = copy.deepcopy(raw)
     attack = {}
     if isinstance(raw, dict) and isinstance(raw.get("train"), dict):
         attack = raw["train"].pop("attack", {})
-    config = from_json(ExperimentConfig(), raw)
-    if not isinstance(attack, dict) or "weights" in attack:
-        raise ConfigError([f"train.attack: must be an object with beta, gamma and zeta "
-                           f"written flat, got {attack!r}"])
-    reference = default_train_attack()
-    weights = {f.name: attack.pop(f.name) for f in fields(LossWeights) if f.name in attack}
-    weights = from_json(reference.weights, weights, "train.attack")
-    attack = from_json(replace(reference, weights=weights), {"alpha": None, **attack},
-                       "train.attack")
+
+    def build_attack() -> AttackSpec:
+        if not isinstance(attack, dict) or "weights" in attack:
+            raise ConfigError([f"train.attack: must be an object with beta, gamma and zeta "
+                               f"written flat, got {attack!r}"])
+        reference = default_train_attack()
+        weights = {f.name: attack.pop(f.name) for f in fields(LossWeights) if f.name in attack}
+        weights = from_json(reference.weights, weights, "train.attack")
+        return from_json(replace(reference, weights=weights), {"alpha": None, **attack},
+                         "train.attack")
+
+    config, attack = gather(lambda build: build(),
+                            [lambda: from_json(ExperimentConfig(), raw), build_attack])
     return replace(config, train=replace(config.train, attack=attack))
 
 

@@ -1,6 +1,6 @@
 """Robustness evaluation: white-box accuracy, transfer (black-box) attacks,
-budget and iteration sweeps, loss-combination ablations, and the
-gradient-masking sanity checks.
+budget and iteration sweeps, the report every table is written from, and
+the gradient-masking sanity checks.
 
 Every number a report carries is reproducible from (checkpoint, attack
 spec, seed, split): evaluation attacks run against eval-mode models with
@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import (AttackSpec, ForwardFn, cw_spec, fgsm_spec, generate,
-                      model_forward_fn, pgd_spec, spec_with)
+from .attacks import (AttackSpec, ForwardFn, fgsm_spec, generate, model_forward_fn,
+                      pgd_spec, spec_with)
 from .data import Corpus, batch_iter
-from .losses import LossWeights, SinkhornSettings
+from .losses import SinkhornSettings
 from .model import ModelParams, forward_logits
-from .training import TrainConfig, fit
 from .util import fingerprint, to_json
 
 
@@ -168,73 +167,6 @@ def curve_csv(rows, attack_name: str, seed: int, *, header_note: str = "") -> st
 
 
 # ---------------------------------------------------------------------------
-# ablation grid
-
-ABLATION_SUBSETS = (
-    ("CE",), ("FS",), ("M",), ("CE", "FS"), ("CE", "M"), ("FS", "M"), ("CE", "FS", "M"),
-)
-
-
-def weights_for_subset(subset) -> tuple[float, float, float]:
-    return (1.0 if "CE" in subset else 0.0,
-            1.0 if "FS" in subset else 0.0,
-            1.0 if "M" in subset else 0.0)
-
-
-@dataclass
-class AblationRow:
-    subset: str
-    weights: tuple[float, float, float]
-    pgd_accuracy: float
-    cw_accuracy: float
-    pgd_delta_vs_full: float
-    cw_delta_vs_full: float
-    records: list = field(default_factory=list)
-
-
-def ablation_grid(corpus: Corpus, build_params, base_config: TrainConfig, *,
-                  seed: int, eval_iterations: int = 10, batch_size: int = 64) -> list[AblationRow]:
-    """Train one model per nonempty loss subset; evaluate under PGD and CW.
-
-    ``build_params()`` must return freshly initialized ModelParams so every
-    subset starts from the same weights. Deltas are reported against the
-    full CE+FS+M recipe.
-    """
-    raw = {}
-    for subset in ABLATION_SUBSETS:
-        beta, gamma, zeta = weights_for_subset(subset)
-        config = replace(base_config, defense="hat",
-                         attack=replace(base_config.attack,
-                                        weights=LossWeights(beta, gamma, zeta)))
-        params = build_params()
-        records = fit(params, corpus, config, seed=seed)
-        pgd_acc, _ = accuracy_under_attack(
-            params, corpus, pgd_spec(config.attack.epsilon, eval_iterations),
-            batch_size=batch_size, segment_length=config.segment_length, seed=seed)
-        cw_acc, _ = accuracy_under_attack(
-            params, corpus, cw_spec(config.attack.epsilon, eval_iterations,
-                                    config.attack.margin),
-            batch_size=batch_size, segment_length=config.segment_length, seed=seed)
-        raw["+".join(subset)] = ((beta, gamma, zeta), pgd_acc, cw_acc, records)
-
-    full_pgd, full_cw = raw["CE+FS+M"][1], raw["CE+FS+M"][2]
-    return [AblationRow(subset=key, weights=weights, pgd_accuracy=pgd_acc,
-                        cw_accuracy=cw_acc, pgd_delta_vs_full=full_pgd - pgd_acc,
-                        cw_delta_vs_full=full_cw - cw_acc, records=records)
-            for key, (weights, pgd_acc, cw_acc, records) in
-            ((k, raw[k]) for k in ("+".join(s) for s in ABLATION_SUBSETS))]
-
-
-def ablation_csv(rows: list[AblationRow]) -> str:
-    lines = ["subset,beta,gamma,zeta,pgd_accuracy,cw_accuracy,pgd_delta_vs_full,cw_delta_vs_full"]
-    for r in rows:
-        b, g, z = r.weights
-        lines.append(f"{r.subset},{b:g},{g:g},{z:g},{r.pgd_accuracy:.2f},"
-                     f"{r.cw_accuracy:.2f},{r.pgd_delta_vs_full:.2f},{r.cw_delta_vs_full:.2f}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # gradient-masking sanity checks
 
 @dataclass
@@ -254,15 +186,18 @@ def masking_checks(target: ModelParams, sources: dict[str, ModelParams],
                    large_epsilon: float = 0.1, tolerance_points: float = 2.0,
                    seed: int = 0, batch_size: int = 64,
                    segment_length: int | None = None, split: str = "test",
-                   forward_override=None) -> MaskingChecks:
+                   attacker: ForwardFn | None = None) -> MaskingChecks:
     """The three sanity checks for gradient masking, with supporting numbers.
 
     (a) transfer (black-box) accuracy is at least the white-box accuracy,
     (b) iterative PGD is at least as strong as one-step FGSM,
     (c) accuracy collapses (<= 5%) once the budget grows large.
+
+    The white-box attacks are crafted on ``attacker`` when given, as in
+    ``accuracy_under_attack``.
     """
     kwargs = dict(batch_size=batch_size, segment_length=segment_length, seed=seed,
-                  split=split, attacker=forward_override)
+                  split=split, attacker=attacker)
     pgd = pgd_spec(epsilon, iterations)
     white_pgd, _ = accuracy_under_attack(target, corpus, pgd, **kwargs)
     white_fgsm, _ = accuracy_under_attack(target, corpus, fgsm_spec(epsilon), **kwargs)

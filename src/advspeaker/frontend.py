@@ -75,7 +75,6 @@ class FrontendOps:
         self.dft_cos = np.cos(angle)
         self.dft_sin = -np.sin(angle)
         fb, self.mel_centers_hz = mel_filterbank(config)
-        self.filterbank = fb
         self._fb_t = fb.T.copy()
 
 

@@ -72,9 +72,9 @@ def from_json(default, raw, path: str = ""):
     each value is checked against its field's annotation: ``int``, ``float``
     (an int is a valid float and stays an int), ``str``, ``bool``,
     ``X | None``, fixed and ``...`` tuples (built from lists), lists, and
-    nested dataclasses, which start from the default's value. A wrong value,
-    or a rule its section checks when built, raises ConfigError naming the
-    field's dotted JSON path.
+    nested dataclasses, which start from the default's value. Every wrong
+    value, and every rule a section checks when built, is listed in one
+    ConfigError, each naming the field's dotted JSON path.
     """
     if isinstance(default, type):
         return _build(default, {}, raw, path)
@@ -88,15 +88,31 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
 
 
+def gather(build, items) -> list:
+    """``build(item)`` for every item; one ConfigError listing every item's errors."""
+    built, errors = [], []
+    for item in items:
+        try:
+            built.append(build(item))
+        except ConfigError as exc:
+            errors += exc.errors
+    if errors:
+        raise ConfigError(errors)
+    return built
+
+
 def _build(cls, values: dict, raw, path: str):
     if not isinstance(raw, dict):
         raise ConfigError([f"{path or 'config'}: must be an object, got {raw!r}"])
     types_ = _field_types(cls)
-    for key, value in raw.items():
+
+    def field_value(key):
         where = f"{path}.{key}" if path else str(key)
         if key not in types_:
             raise ConfigError([f"{where}: unknown key"])
-        values[key] = _value(types_[key], value, where, values.get(key))
+        return key, _value(types_[key], raw[key], where, values.get(key))
+
+    values.update(gather(field_value, raw))
     try:
         return cls(**values)
     except ConfigError as exc:  # "iterations: …" becomes "eval.scenarios[0].iterations: …"
@@ -127,7 +143,8 @@ def _value(hint, value, where: str, default=None):
             raise ConfigError([f"{where}: must have {len(args)} items, got {value!r}"])
         else:
             items = args
-        built = [_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))]
+        built = gather(lambda i: _value(items[i], value[i], f"{where}[{i}]"),
+                        range(len(value)))
         return built if origin is list else tuple(built)
     if hint is float:
         ok = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)

@@ -350,9 +350,10 @@ def test_eval_attack_and_report_share_one_evaluation_path(tmp_path, monkeypatch,
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(ev, "generate", recording_generate)
-    for command in ("eval", "attack", "report"):
+    for command in ("eval", "attack", "report", "ablate"):
         solvers.clear()
-        assert cli.main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / command),
+                         "--set", "train.epochs=1"]) == 0
         assert solvers and all(s == sinkhorn for s in solvers), command
 
     lines = (tmp_path / "eval" / "report.jsonl").read_text().splitlines()[1:]
@@ -424,7 +425,21 @@ def test_cli_report_over_two_checkpoints(tmp_path):
     table = (tmp_path / "cmp" / "comparison.txt").read_text()
     assert "standard" in table and "fgsm_at" in table
     csv = (tmp_path / "cmp" / "comparison.csv").read_text()
-    assert csv.splitlines()[1].startswith("defense,clean,fgsm,pgd2,cw2,fs2")
+    assert csv.splitlines()[1] == "defense,clean,fgsm,pgd2,cw2,fs2"
+    assert_cells_match_row_reports(tmp_path / "cmp", ["standard", "fgsm_at"])
+
+
+def assert_cells_match_row_reports(out_dir, row_names):
+    """Every comparison.csv cell is its row's report.jsonl entry of that name."""
+    columns, *rows = (out_dir / "comparison.csv").read_text().splitlines()[1:]
+    columns = columns.split(",")[1:]
+    assert [row.split(",")[0] for row in rows] == row_names
+    for row in rows:
+        name, *cells = row.split(",")
+        lines = (out_dir / name / "report.jsonl").read_text().splitlines()[1:]
+        entries = {e["name"]: e["accuracy"] for e in map(json.loads, lines)}
+        assert list(entries) == columns, name
+        assert [float(c) for c in cells] == [entries[c] for c in columns], name
 
 
 def wav_dir_config(tmp_path):
@@ -461,13 +476,21 @@ def test_wav_dir_speaker_count_must_match_the_model(tmp_path, capsys):
 
 
 def test_cli_ablate_micro(tmp_path):
-    raw = micro_config_dict(defense="hat", out=str(tmp_path / "abl"))
+    out = tmp_path / "abl"
+    raw = micro_config_dict(defense="standard", out=str(out))
     raw["train"]["epochs"] = 1
     raw["train"]["attack"]["iterations"] = 1
+    raw["report"]["iterations"] = [1]
     path = write_config(tmp_path, raw)
     assert cli.main(["ablate", "--config", path]) == 0
-    csv = (tmp_path / "abl" / "ablation.csv").read_text()
-    assert len([l for l in csv.splitlines() if l and not l.startswith(("#", "subset"))]) == 7
+    subsets = ["CE", "FS", "M", "CE+FS", "CE+M", "FS+M", "CE+FS+M"]
+    assert_cells_match_row_reports(out, subsets)
+    for name in subsets:
+        weights = [float(term in name.split("+")) for term in ("CE", "FS", "M")]
+        resolved = json.loads((out / name / "config.resolved.json").read_text())
+        assert resolved["train"]["defense"] == "hat"
+        assert [resolved["train"]["attack"][w] for w in ("beta", "gamma", "zeta")] == weights
+        assert (out / name / "checkpoint.npz").exists()
 
 
 # --- the attack registry ------------------------------------------------------
@@ -562,6 +585,7 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("train", ["frontend.sample_rate=-16000", "corpus.sample_rate=-16000"],
      "corpus.sample_rate"),
     ("train", ["train.checkpoint_every=-1"], "train.checkpoint_every"),
+    ("report", ['report.checkpoints=[["..", "a.npz"]]'], "report.checkpoints"),
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):
@@ -578,6 +602,9 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
     (lambda: cfg.EvalSection(batch_size=0), ["batch_size"]),
     (lambda: cfg.ScenarioSection("pgd", iterations=0, epsilon=-1), ["iterations", "epsilon"]),
     (lambda: cfg.ReportSection(iterations=[0]), ["iterations"]),
+    (lambda: cfg.ReportSection(checkpoints=(("", "a.npz"), (".", "b.npz"), ("..", "c.npz"),
+                                            ("x/y", "d.npz"), ("z", "e.npz"), ("z", "f.npz"))),
+     ["checkpoints"] * 5),
     (lambda: cfg.CorpusSection(kind="wav_dir"), ["root"]),
     (lambda: cfg.TrainConfig(epochs=1, batch_size=0), ["batch_size"]),
     (lambda: cfg.SpeakerCNNConfig(kernel_size=0, pool_width=1), ["kernel_size", "pool_width"]),
@@ -585,8 +612,8 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
     (lambda: pgd_spec(0.002, alpha=-1.0), ["alpha"]),
     (lambda: cfg.LossWeights(gamma=-1.0), ["gamma"]),
     (lambda: cfg.SinkhornSettings(max_iters=0), ["max_iters"]),
-], ids=["eval", "scenario", "report", "corpus", "train", "model", "frontend", "attack",
-        "weights", "sinkhorn"])
+], ids=["eval", "scenario", "report", "report-rows", "corpus", "train", "model", "frontend",
+        "attack", "weights", "sinkhorn"])
 def test_a_section_refuses_its_own_bad_fields_when_built(build, fields):
     with pytest.raises(cfg.ConfigError) as caught:
         build()
@@ -608,6 +635,29 @@ def test_every_config_dataclass_is_frozen():
         hints += typing.get_args(hint)
     assert len(seen) == 11
     assert [c.__name__ for c in seen if not c.__dataclass_params__.frozen] == []
+
+
+def test_frozen_sections_hold_no_mutable_lists():
+    config = cfg.config_from_dict(micro_config_dict())
+    with pytest.raises(AttributeError):
+        config.report.iterations.append(0)
+    assert isinstance(config.eval.scenarios, tuple)
+    assert config.to_dict() == micro_config_dict()
+
+
+def test_every_section_errors_are_reported_at_once(capsys):
+    argv = ["validate", "--config", str(PRESET_DIR / "desk-hat.json"), "--set",
+            "train.batch_size=0", "--set", "model.kernel_size=0", "--set", "model.pool_width=1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert errors == ["error: model.kernel_size: must be >= 1",
+                      "error: model.pool_width: must be >= 2",
+                      "error: train.batch_size: must be >= 1"]
+    with pytest.raises(cfg.ConfigError) as caught:
+        cfg.config_from_dict({"nope": 1, "eval": {"scenarios": [{"kind": "x"}, {"kind": "y"}]},
+                              "train": {"attack": {"epsilon": -1}}})
+    assert [e.split(":")[0] for e in caught.value.errors] == [
+        "nope", "eval.scenarios[0].kind", "eval.scenarios[1].kind", "train.attack.epsilon"]
 
 
 def test_section_errors_are_reported_under_the_section_json_path():

@@ -1,9 +1,13 @@
 """Evaluation-harness tests on micro models (desk-scale behavior is covered
 by the acceptance suite)."""
 
+import json
+
 import numpy as np
 import pytest
 
+from advspeaker import cli
+from advspeaker import config as cfg
 from advspeaker import data as dt
 from advspeaker import evaluate as ev
 from advspeaker import model as mdl
@@ -108,24 +112,35 @@ def test_curve_csv_layout():
     assert lines[2] == "0.001,88.00,pgd,3"
 
 
-def test_ablation_grid_structure_and_weight_audit(corpus):
-    base = tr.TrainConfig(epochs=1, batch_size=9, lr_schedule=((60, 0.1),),
-                          defense="hat",
-                          attack=AttackSpec(LossWeights(1, 1, 1), 0.002, 0.0004,
-                                            iterations=1, random_init=True),
-                          segment_length=800)
-    rows = ev.ablation_grid(corpus, lambda: mdl.build(MICRO_CNN, MICRO_FE, seed=3),
-                            base, seed=4, eval_iterations=1, batch_size=16)
-    assert len(rows) == 7
-    assert {r.subset for r in rows} == {"CE", "FS", "M", "CE+FS", "CE+M", "FS+M", "CE+FS+M"}
-    full = [r for r in rows if r.subset == "CE+FS+M"][0]
-    assert full.pgd_delta_vs_full == 0.0 and full.cw_delta_vs_full == 0.0
-    for row in rows:
-        for record in row.records:
-            assert record.attack_weights == row.weights  # consumed declared weights
-    csv = ev.ablation_csv(rows)
-    assert csv.splitlines()[0].startswith("subset,beta,gamma,zeta")
-    assert len(csv.strip().splitlines()) == 8
+def test_ablation_grid_structure_and_weight_audit(tmp_path):
+    # the ablation grid is `ablate`: one HAT training per loss subset, then
+    # one report row per subset, on the micro corpus and model above
+    raw = cfg.desk_preset("hat").to_dict()
+    raw["corpus"].update(num_speakers=3, utterances_per_speaker=10, duration_s=0.2,
+                         sample_rate=4000, seed=31)
+    raw["frontend"].update(sample_rate=4000, window_length=128, hop_length=64,
+                           fft_size=128, mel_bins=12)
+    raw["model"].update(num_speakers=3, channels=[8, 8])
+    raw["train"].update(epochs=1, batch_size=9, lr_schedule=[[60, 0.1]],
+                        segment_length=800)
+    raw["train"]["attack"].update(iterations=1, alpha=0.002)
+    raw["eval"].update(batch_size=16)
+    raw["report"]["iterations"] = [1]
+    raw["seed"], raw["output_dir"] = 4, str(tmp_path / "abl")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["ablate", "--config", str(path)]) == 0
+
+    out = tmp_path / "abl"
+    lines = (out / "comparison.csv").read_text().strip().splitlines()
+    assert lines[1] == "defense,clean,fgsm,pgd1,cw1,fs1"
+    subsets = [line.split(",")[0] for line in lines[2:]]
+    assert subsets == ["CE", "FS", "M", "CE+FS", "CE+M", "FS+M", "CE+FS+M"]
+    for subset in subsets:
+        weights = [float(term in subset.split("+")) for term in ("CE", "FS", "M")]
+        log = (out / subset / "trainlog.jsonl").read_text().splitlines()
+        # the training consumed the subset's declared weights
+        assert [json.loads(record)["attack_weights"] for record in log] == [weights]
 
 
 def test_masking_checks_structure_and_degenerate_source(corpus, trained):
@@ -140,10 +155,9 @@ def test_masking_checks_structure_and_degenerate_source(corpus, trained):
 def test_scrambled_gradients_fail_the_iterative_check(corpus, trained):
     # the control leaves forward values intact but randomizes the waveform
     # adjoint; one-step attacks then beat iterative ones
-    override = ev.scrambled_gradient_forward(trained, scramble_seed=5)
+    scrambled = ev.scrambled_gradient_forward(trained, scramble_seed=5)
     checks = ev.masking_checks(trained, {}, corpus, epsilon=0.05, iterations=10,
-                               batch_size=16, seed=9, split="all",
-                               forward_override=override)
+                               batch_size=16, seed=9, split="all", attacker=scrambled)
     assert not checks.iterative_at_least_one_step
     healthy = ev.masking_checks(trained, {}, corpus, epsilon=0.05, iterations=10,
                                 batch_size=16, seed=9, split="all")
