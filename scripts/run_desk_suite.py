@@ -16,7 +16,6 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from advspeaker import cli  # noqa: E402
-from advspeaker.config import BUILTIN_PRESETS  # noqa: E402
 
 DESK_PRESETS = ["desk-standard", "desk-fgsm-at", "desk-pgd-at", "desk-fs-at", "desk-hat"]
 
@@ -44,9 +43,9 @@ def main() -> int:
             return code
         checkpoints.append([name.removeprefix("desk-"), str(out_dir / "checkpoint.npz")])
 
-    report_raw = BUILTIN_PRESETS["desk-hat"]().to_dict()
+    report_raw = json.loads((REPO / "configs" / "desk-hat.json").read_text())
     report_raw["output_dir"] = str(out_root / "comparison")
-    report_raw["report"] = {"checkpoints": checkpoints, "iterations": [10, 40]}
+    report_raw["report"] = {"checkpoints": checkpoints}
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(report_raw, fh)
         report_config = fh.name

@@ -5,10 +5,11 @@ driven by one JSON config (plus dotted --set overrides), owns its output
 directory through a lock file, and stamps artifacts with the config
 fingerprint and global seed.
 
-Every table comes from one path: `_evaluate` runs one checkpoint over a
-list of scenarios and `_write_report` writes its report. `eval` does this
-once, `report` once per row (and tabulates the reports' entries), and
-`ablate` is seven `train` runs, one per loss subset, then `report`.
+Every table comes from one path: `_evaluate` runs one checkpoint over
+`eval.scenarios` and `_write_report` writes its report and sweep curves.
+`eval` does this once, `report` once per row (and tabulates the reports'
+entries, one column per entry), and `ablate` is seven `train` runs, one per
+loss subset, then `report`.
 
 Exit codes: 0 success, 2 config error (a checkpoint trained on another corpus
 included), 3 numeric failure, 4 missing or unreadable artifact.
@@ -25,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
-from .attacks import (ATTACKS, AttackSpec, ForwardFn, attack_spec, model_forward_fn,
-                      spec_with)
+from .attacks import ATTACKS, AttackSpec, attack_spec, model_forward_fn, spec_with
 from .autodiff import NonFiniteError
 from .config import ConfigError, ExperimentConfig, ScenarioSection, check, load_config, validate
 from .data import Corpus, ingest, load_corpus, save_manifest, synth_corpus, write_wav
@@ -38,9 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_MISSING = 4
-
-# The multi-step attacks of the `report` comparison table, one column per T.
-REPORT_ATTACKS = ("pgd", "cw", "fs")
 
 # The loss terms `ablate` trains HAT with, each at weight 1: every nonempty
 # subset of CE, FS and the margin loss (M).
@@ -155,17 +152,19 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _evaluate(config: ExperimentConfig, corpus: Corpus, params, target_name: str,
-              scenarios, source: ForwardFn | None = None
+def _evaluate(config: ExperimentConfig, corpus: Corpus, params, target_name: str
               ) -> tuple[ev.RobustnessReport, list[str]]:
-    """One checkpoint over ``scenarios``: its report, and a CSV curve per sweep.
-    ``source`` is the transfer scenarios' attacker forward function."""
+    """One checkpoint over ``eval.scenarios``: its report, and a CSV curve per sweep."""
     fp, seed, kwargs = config.fingerprint(), config.eval.seed, _eval_kwargs(config)
     report = ev.RobustnessReport(
         target_name=target_name, config_fingerprint=fp,
         corpus_fingerprint=corpus.fingerprint, global_seed=config.seed)
     curves_csv: list[str] = []
-    for scenario in scenarios:
+    source = None
+    if any(s.kind == "transfer" for s in config.eval.scenarios):
+        source = model_forward_fn(_load_checkpoint_or_missing(
+            config.eval.source_checkpoint, "eval.source_checkpoint", corpus))
+    for scenario in config.eval.scenarios:
         attacker, source_name = None, None
         if scenario.kind == "transfer":
             attacker, source_name = source, str(config.eval.source_checkpoint)
@@ -190,8 +189,10 @@ def _evaluate(config: ExperimentConfig, corpus: Corpus, params, target_name: str
     return report, curves_csv
 
 
-def _write_report(report: ev.RobustnessReport, out_dir: Path) -> None:
+def _write_report(report: ev.RobustnessReport, curves_csv: list[str], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    if curves_csv:
+        (out_dir / "curves.csv").write_text("".join(curves_csv))
     (out_dir / "report.jsonl").write_text(report.to_jsonl())
     (out_dir / "report.txt").write_text(report.render_table())
     print(f"report hash {report.content_hash()} -> {out_dir / 'report.jsonl'}")
@@ -201,16 +202,9 @@ def cmd_eval(config: ExperimentConfig, out_dir: Path) -> int:
     corpus = build_corpus(config)
     params = _load_checkpoint_or_missing(config.eval.target_checkpoint,
                                          "eval.target_checkpoint", corpus)
-    source = None
-    if any(s.kind == "transfer" for s in config.eval.scenarios):
-        source = model_forward_fn(_load_checkpoint_or_missing(
-            config.eval.source_checkpoint, "eval.source_checkpoint", corpus))
-    report, curves_csv = _evaluate(config, corpus, params, str(config.eval.target_checkpoint),
-                                   config.eval.scenarios, source)
-    if curves_csv:
-        (out_dir / "curves.csv").write_text("".join(curves_csv))
+    report, curves_csv = _evaluate(config, corpus, params, str(config.eval.target_checkpoint))
     print(report.render_table())
-    _write_report(report, out_dir)
+    _write_report(report, curves_csv, out_dir)
     return EXIT_OK
 
 
@@ -269,22 +263,19 @@ def cmd_report(config: ExperimentConfig, out_dir: Path) -> int:
     loaded = [(name, path, _load_checkpoint_or_missing(path, f"report checkpoint {name!r}",
                                                        corpus))
               for name, path in config.report.checkpoints]
-
-    iterations = [10, 20, 40] if config.eval.full_grid else config.report.iterations
-    scenarios = [ScenarioSection("clean"), ScenarioSection("fgsm")] + [
-        ScenarioSection(kind, iterations=t) for kind in REPORT_ATTACKS for t in iterations]
     rows = []
     for name, path, params in loaded:
-        report, _ = _evaluate(config, corpus, params, path, scenarios)
-        _write_report(report, out_dir / name)
+        report, curves_csv = _evaluate(config, corpus, params, path)
+        _write_report(report, curves_csv, out_dir / name)
         rows.append((name, {e.name: e.accuracy for e in report.entries}))
     columns = list(rows[0][1])
 
     stamp = f"# fingerprint={config.fingerprint()} seed={config.seed}"
     width = max(len(name) for name, _ in rows)
+    widths = {c: max(8, len(c)) for c in columns}
     table = [f"{stamp} eps={config.eval.epsilon:g}",
-             "defense".ljust(width) + "".join(f"  {c:>8}" for c in columns)]
-    table += [name.ljust(width) + "".join(f"  {accs[c]:8.2f}" for c in columns)
+             "defense".ljust(width) + "".join(f"  {c:>{widths[c]}}" for c in columns)]
+    table += [name.ljust(width) + "".join(f"  {accs[c]:{widths[c]}.2f}" for c in columns)
               for name, accs in rows]
     csv = [stamp, "defense," + ",".join(columns)]
     csv += [name + "," + ",".join(f"{accs[c]:.2f}" for c in columns) for name, accs in rows]

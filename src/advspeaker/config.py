@@ -1,7 +1,7 @@
 """Experiment configuration: a single JSON document binding corpus,
 front-end, model, training, and evaluation sections, with dotted-path
 overrides, invariant validation, and a stable fingerprint that every
-artifact embeds.
+artifact embeds. The shipped experiments are the files in ``configs/``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from pathlib import Path
 from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON, AttackSpec
 from .data import SynthConfig
 from .frontend import FrontendConfig
-from .losses import LossWeights, SinkhornSettings
+from .losses import LossWeights
 from .model import SpeakerCNNConfig, min_input_samples
-from .training import PAPER_LR_SCHEDULE, TrainConfig, default_train_attack
+from .training import TrainConfig, default_train_attack
 from .util import ConfigError, check, fingerprint, from_json, gather, to_json
 
 
@@ -75,7 +75,6 @@ class EvalSection:
     seed: int = 0
     target_checkpoint: str | None = None
     source_checkpoint: str | None = None
-    full_grid: bool = False
     scenarios: tuple[ScenarioSection, ...] = (
         ScenarioSection("clean"), ScenarioSection("fgsm"),
         ScenarioSection("pgd", iterations=10), ScenarioSection("cw", iterations=10),
@@ -101,13 +100,14 @@ class EvalSection:
 @dataclass(frozen=True)
 class ReportSection:
     checkpoints: tuple[tuple[str, str], ...] = ()  # (row name, checkpoint path)
-    iterations: tuple[int, ...] = (10, 40)
 
     def __post_init__(self):
         names = [name for name, _ in self.checkpoints]  # each names a directory of `report`
-        check([(any(t < 1 for t in self.iterations), "iterations: must be >= 1")]
-              + [(name in ("", ".", "..") or "/" in name,
-                  f"checkpoints: row name {name!r} must be one path component")
+        check([(name in ("", ".", "..") or "/" in name,
+                f"checkpoints: row name {name!r} must be one path component")
+               for name in names]
+              + [(name in ("comparison.txt", "comparison.csv", ".lock"),
+                  f"checkpoints: row name {name!r} names a file `report` writes")
                  for name in names]
               + [(names.count(name) > 1, f"checkpoints: row name {name!r} is repeated")
                  for name in dict.fromkeys(names)])
@@ -117,7 +117,6 @@ class ReportSection:
 class ExperimentConfig:
     seed: int = 7
     output_dir: str = "runs/experiment"
-    deterministic: bool = True
     corpus: CorpusSection = field(default_factory=CorpusSection)
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     model: SpeakerCNNConfig = field(default_factory=SpeakerCNNConfig)
@@ -234,57 +233,3 @@ def validate(config: ExperimentConfig) -> list[str]:
         (config.eval.epsilon not in (0.0, epsilon),
          f"eval.epsilon ({config.eval.epsilon:g}) != train.attack.epsilon ({epsilon:g}); "
          f"budget sweeps do this deliberately")] if diverges]
-
-
-# ---------------------------------------------------------------------------
-# shipped presets
-
-def desk_preset(defense: str) -> ExperimentConfig:
-    """Desk-scale synthetic-corpus preset for one defense kind."""
-    train = TrainConfig(epochs=30, batch_size=32, lr_schedule=PAPER_LR_SCHEDULE,
-                        momentum=0.9, w1=1.0, w2=1.0, defense=defense, segment_length=8000,
-                        sinkhorn=SinkhornSettings(0.01, 300, 1e-6),
-                        checkpoint_every=10)
-    fe = FrontendConfig(sample_rate=16000, window_length=256, hop_length=128,
-                        fft_size=256, mel_bins=32, log_floor=1e-6)
-    name = defense.replace("_", "-")
-    return ExperimentConfig(
-        seed=7, output_dir=f"runs/desk-{name}", deterministic=True,
-        corpus=CorpusSection(), frontend=fe,
-        model=SpeakerCNNConfig.tiny(10), train=train,
-        eval=EvalSection(batch_size=40, target_checkpoint=f"runs/desk-{name}/checkpoint.npz"))
-
-
-def full_scale_preset() -> ExperimentConfig:
-    """Full-scale settings (251 speakers, 200 epochs); documented, not run in CI."""
-    train = TrainConfig(epochs=200, batch_size=32, lr_schedule=PAPER_LR_SCHEDULE,
-                        momentum=0.9, w1=1.0, w2=1.0, defense="hat",
-                        segment_length=48000, sinkhorn=SinkhornSettings(0.01, 1000, 1e-6),
-                        checkpoint_every=10)
-    return ExperimentConfig(
-        seed=7, output_dir="runs/paper-hat", deterministic=True,
-        corpus=CorpusSection(kind="wav_dir", root="data/librispeech-train-clean-100",
-                             num_speakers=251),
-        frontend=FrontendConfig(), model=SpeakerCNNConfig(), train=train,
-        eval=EvalSection(batch_size=32, target_checkpoint="runs/paper-hat/checkpoint.npz"))
-
-
-BUILTIN_PRESETS = {
-    "desk-standard": lambda: desk_preset("standard"),
-    "desk-fgsm-at": lambda: desk_preset("fgsm_at"),
-    "desk-pgd-at": lambda: desk_preset("pgd_at"),
-    "desk-fs-at": lambda: desk_preset("fs_at"),
-    "desk-hat": lambda: desk_preset("hat"),
-    "paper-hat": full_scale_preset,
-}
-
-
-def write_preset_files(directory) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, factory in BUILTIN_PRESETS.items():
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(factory().to_dict(), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written

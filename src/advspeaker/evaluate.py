@@ -1,6 +1,6 @@
-"""Robustness evaluation: white-box accuracy, transfer (black-box) attacks,
-budget and iteration sweeps, the report every table is written from, and
-the gradient-masking sanity checks.
+"""Robustness evaluation: accuracy under white-box and transfer (black-box)
+attacks, the report every table is written from, sweep curves, and the
+gradient-masking sanity checks.
 
 Every number a report carries is reproducible from (checkpoint, attack
 spec, seed, split): evaluation attacks run against eval-mode models with
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attacks import (AttackSpec, ForwardFn, fgsm_spec, generate, model_forward_fn,
-                      pgd_spec, spec_with)
+from .attacks import AttackSpec, ForwardFn, fgsm_spec, generate, model_forward_fn, pgd_spec
 from .data import Corpus, batch_iter
 from .losses import SinkhornSettings
 from .model import ModelParams, forward_logits
@@ -127,34 +126,6 @@ def attack_batches(forward, corpus: Corpus, spec: AttackSpec | None, *, batch_si
         yield x, y, adv
 
 
-def clean_accuracy(target: ModelParams, corpus: Corpus, **kwargs) -> float:
-    return accuracy_under_attack(target, corpus, None, **kwargs)[0]
-
-
-def transfer_eval(source: ModelParams, target: ModelParams, corpus: Corpus,
-                  spec: AttackSpec, **kwargs) -> float:
-    """Black-box setting: adversaries from the source, accuracy on the target."""
-    acc, _ = accuracy_under_attack(target, corpus, spec, attacker=model_forward_fn(source),
-                                   **kwargs)
-    return acc
-
-
-def epsilon_sweep(target: ModelParams, corpus: Corpus, epsilons,
-                  template: AttackSpec, **kwargs) -> list[tuple[float, float]]:
-    """Accuracy per budget; each point runs ``spec_with(template, epsilon=eps)``."""
-    return [(float(eps), accuracy_under_attack(
-                target, corpus, spec_with(template, epsilon=float(eps)), **kwargs)[0])
-            for eps in epsilons]
-
-
-def iteration_sweep(target: ModelParams, corpus: Corpus, counts,
-                    template: AttackSpec, **kwargs) -> list[tuple[int, float]]:
-    """Accuracy per step count; each point runs ``spec_with(template, iterations=t)``."""
-    return [(int(t), accuracy_under_attack(
-                target, corpus, spec_with(template, iterations=int(t)), **kwargs)[0])
-            for t in counts]
-
-
 def curve_csv(rows, attack_name: str, seed: int, *, header_note: str = "") -> str:
     """CSV with the columns x, accuracy, attack, seed."""
     lines = []
@@ -201,9 +172,8 @@ def masking_checks(target: ModelParams, sources: dict[str, ModelParams],
     pgd = pgd_spec(epsilon, iterations)
     white_pgd, _ = accuracy_under_attack(target, corpus, pgd, **kwargs)
     white_fgsm, _ = accuracy_under_attack(target, corpus, fgsm_spec(epsilon), **kwargs)
-    transfers = {name: transfer_eval(src, target, corpus, pgd,
-                                     batch_size=batch_size, split=split,
-                                     segment_length=segment_length, seed=seed)
+    transfers = {name: accuracy_under_attack(
+                     target, corpus, pgd, **dict(kwargs, attacker=model_forward_fn(src)))[0]
                  for name, src in sources.items()}
     large_acc, _ = accuracy_under_attack(
         target, corpus, pgd_spec(large_epsilon, iterations), **kwargs)

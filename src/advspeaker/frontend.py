@@ -74,8 +74,7 @@ class FrontendOps:
         angle = 2.0 * np.pi * np.outer(t, np.arange(n_bins)) / config.fft_size
         self.dft_cos = np.cos(angle)
         self.dft_sin = -np.sin(angle)
-        fb, self.mel_centers_hz = mel_filterbank(config)
-        self._fb_t = fb.T.copy()
+        self._fb_t = mel_filterbank(config)[0].T.copy()
 
 
 def log_mel(waveform, ops: FrontendOps) -> Value:

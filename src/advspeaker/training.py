@@ -202,8 +202,9 @@ def fit(params: ModelParams, corpus: Corpus, config: TrainConfig, *, seed: int,
         log_hook=None) -> list[EpochRecord]:
     """Run epochs start_epoch..config.epochs; optionally persist artifacts.
 
-    With an out_dir, appends one JSON line per epoch to trainlog.jsonl and
-    writes checkpoint.npz (including optimizer state, so a reloaded
+    With an out_dir, writes one JSON line per epoch to trainlog.jsonl (a
+    fresh log from epoch 1, appended to when resuming) and writes
+    checkpoint.npz (including optimizer state, so a reloaded
     checkpoint continues bit-identically to an uninterrupted run).
     """
     velocity = velocity if velocity is not None else {}
@@ -215,6 +216,8 @@ def fit(params: ModelParams, corpus: Corpus, config: TrainConfig, *, seed: int,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         log_path = out_dir / "trainlog.jsonl"
+        if start_epoch == 1:
+            log_path.unlink(missing_ok=True)
 
     def checkpoint(epoch: int) -> None:
         if out_dir is None:

@@ -9,6 +9,7 @@ checks are the property/directional versions of the headline claims.
 import itertools
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +24,22 @@ from advspeaker import evaluate as ev
 from advspeaker import model as mdl
 from advspeaker import training as tr
 from advspeaker.attacks import (AttackSpec, fgsm_spec, generate, model_forward_fn,
-                                pgd_spec, snr_db)
+                                pgd_spec, snr_db, spec_with)
 from advspeaker.frontend import FrontendConfig
 from advspeaker.losses import (LossWeights, SinkhornConvergenceWarning,
                                TransportProblem, sinkhorn_ot)
 
 warnings.simplefilter("ignore", SinkhornConvergenceWarning)
 
-DESK = cfg.desk_preset("hat")
+PRESET_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def desk_config(defense: str) -> cfg.ExperimentConfig:
+    """The shipped desk-scale preset ``configs/desk-<defense>.json``."""
+    return cfg.load_config(PRESET_DIR / f"desk-{defense.replace('_', '-')}.json")
+
+
+DESK = desk_config("hat")
 EVAL_SEED = 3
 TRAIN_SEED = 7
 BUILD_SEED = 1
@@ -60,7 +69,7 @@ def desk_models(desk_corpus):
     models = {}
     timings = {}
     for defense in ("standard", "fs_at", "hat"):
-        config = cfg.desk_preset(defense)
+        config = desk_config(defense)
         params = mdl.build(config.model, config.frontend, BUILD_SEED)
         started = time.monotonic()
         tr.fit(params, desk_corpus, config.train, seed=TRAIN_SEED)
@@ -201,9 +210,9 @@ def test_criterion_4_desk_scale_defense_efficacy(desk_corpus, desk_models):
     started = time.monotonic()
     pgd10 = pgd_spec(0.002, 10)
     kw = desk_eval_kwargs()
-    std_clean = ev.clean_accuracy(desk_models["standard"], desk_corpus, **kw)
+    std_clean, _ = ev.accuracy_under_attack(desk_models["standard"], desk_corpus, None, **kw)
     std_pgd, _ = ev.accuracy_under_attack(desk_models["standard"], desk_corpus, pgd10, **kw)
-    hat_clean = ev.clean_accuracy(desk_models["hat"], desk_corpus, **kw)
+    hat_clean, _ = ev.accuracy_under_attack(desk_models["hat"], desk_corpus, None, **kw)
     hat_pgd, _ = ev.accuracy_under_attack(desk_models["hat"], desk_corpus, pgd10, **kw)
     fs_pgd, _ = ev.accuracy_under_attack(desk_models["fs_at"], desk_corpus, pgd10, **kw)
     total_time = sum(desk_models["timings"].values()) + (time.monotonic() - started)
@@ -227,8 +236,9 @@ def test_criterion_5_orderings_and_budget_sweep(desk_corpus, desk_models):
     fgsm_acc, _ = ev.accuracy_under_attack(hat, desk_corpus, fgsm_spec(0.002), **kw)
     pgd10_acc, _ = ev.accuracy_under_attack(hat, desk_corpus, pgd_spec(0.002, 10), **kw)
     pgd100_acc, _ = ev.accuracy_under_attack(hat, desk_corpus, pgd_spec(0.002, 100), **kw)
-    curve = ev.epsilon_sweep(hat, desk_corpus, [0.001, 0.002, 0.005, 0.01, 0.1],
-                             pgd_spec(0.002, 10), **kw)
+    curve = [(eps, ev.accuracy_under_attack(
+                 hat, desk_corpus, spec_with(pgd_spec(0.002, 10), epsilon=eps), **kw)[0])
+             for eps in [0.001, 0.002, 0.005, 0.01, 0.1]]
     non_increasing = all(curve[i + 1][1] <= curve[i][1] + 2.0
                          for i in range(len(curve) - 1))
     stable = abs(pgd10_acc - pgd100_acc) < 10.0  # defended curve barely moves with T
@@ -246,8 +256,9 @@ def test_criterion_6_transfer_attacks_no_stronger_than_white_box(desk_corpus, de
     pgd10 = pgd_spec(0.002, 10)
     kw = desk_eval_kwargs()
     white, _ = ev.accuracy_under_attack(desk_models["hat"], desk_corpus, pgd10, **kw)
-    transferred = ev.transfer_eval(desk_models["standard"], desk_models["hat"],
-                                   desk_corpus, pgd10, **kw)
+    transferred, _ = ev.accuracy_under_attack(
+        desk_models["hat"], desk_corpus, pgd10,
+        attacker=model_forward_fn(desk_models["standard"]), **kw)
     criterion(6, "adversaries transferred from the undefended model are no "
                  "stronger than white-box ones",
               transferred >= white,
@@ -267,7 +278,7 @@ def test_masking_checks_all_pass_on_desk_hat(desk_corpus, desk_models):
 # --- criterion 7: hybrid specializes to PGD-AT bit-for-bit ----------------------
 
 def test_criterion_7_hybrid_with_ce_only_weights_is_pgd_at(desk_corpus):
-    base = cfg.desk_preset("pgd_at").train
+    base = desk_config("pgd_at").train
     config_pgd = tr.TrainConfig(
         epochs=2, batch_size=base.batch_size, lr_schedule=base.lr_schedule,
         defense="pgd_at", attack=base.attack, sinkhorn=base.sinkhorn,

@@ -9,14 +9,26 @@ import pytest
 from advspeaker import cli
 from advspeaker import config as cfg
 from advspeaker.attacks import pgd_spec
+from advspeaker.losses import SinkhornSettings
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PRESET_DIR = REPO_ROOT / "configs"
 
 
+def preset_dict(name):
+    """The JSON document of the shipped preset ``configs/<name>.json``."""
+    return json.loads((PRESET_DIR / f"{name}.json").read_text())
+
+
+def white_box_grid(iterations):
+    """Eval scenarios clean, fgsm, and pgd, cw and fs at ``iterations`` steps."""
+    return [{"kind": "clean"}, {"kind": "fgsm"}] + [
+        {"kind": kind, "iterations": iterations} for kind in ("pgd", "cw", "fs")]
+
+
 def micro_config_dict(defense="standard", out="runs/micro"):
     """Fast end-to-end config: tiny corpus/model, couple of epochs."""
-    c = cfg.desk_preset(defense).to_dict()
+    c = preset_dict("desk-" + defense.replace("_", "-"))
     c["corpus"].update(num_speakers=3, utterances_per_speaker=10, duration_s=0.2,
                        sample_rate=4000)
     c["frontend"].update(sample_rate=4000, window_length=128, hop_length=64,
@@ -36,15 +48,8 @@ def test_shipped_presets_all_validate():
         cfg.validate(cfg.load_config(path))
 
 
-def test_preset_files_match_builtin_definitions():
-    for name, factory in cfg.BUILTIN_PRESETS.items():
-        on_disk = json.loads((PRESET_DIR / f"{name}.json").read_text())
-        assert on_disk == factory().to_dict(), name
-
-
 def test_desk_presets_cover_all_defenses():
-    kinds = {cfg.BUILTIN_PRESETS[n]().train.defense
-             for n in cfg.BUILTIN_PRESETS if n.startswith("desk-")}
+    kinds = {cfg.load_config(path).train.defense for path in PRESET_DIR.glob("desk-*.json")}
     assert kinds == {"standard", "fgsm_at", "pgd_at", "fs_at", "hat"}
 
 
@@ -118,7 +123,7 @@ def _leaves(node, name=""):
             for path, keys, leaf in _leaves(child, child_name)]
 
 
-HAT_LEAVES = list(_leaves(cfg.desk_preset("hat").to_dict()))
+HAT_LEAVES = list(_leaves(preset_dict("desk-hat")))
 
 
 def _wrong_type(value):
@@ -134,13 +139,13 @@ def _wrong_type(value):
 
 
 def test_every_preset_leaf_is_walked():
-    assert len(HAT_LEAVES) == 102
+    assert len(HAT_LEAVES) == 98
     assert "eval.scenarios[2].iterations" in {name for name, _, _ in HAT_LEAVES}
 
 
 @pytest.mark.parametrize("name, keys, value", HAT_LEAVES, ids=[n for n, _, _ in HAT_LEAVES])
 def test_every_field_is_type_checked_naming_its_json_path(name, keys, value):
-    raw = cfg.desk_preset("hat").to_dict()
+    raw = preset_dict("desk-hat")
     node = raw
     for key in keys[:-1]:
         node = node[key]
@@ -324,7 +329,6 @@ def test_eval_loads_the_transfer_source_only_for_a_transfer_scenario(
 def test_eval_attack_and_report_share_one_evaluation_path(tmp_path, monkeypatch,
                                                           micro_checkpoints):
     from advspeaker import evaluate as ev
-    from advspeaker.losses import SinkhornSettings
 
     raw = micro_config_dict(out=str(tmp_path / "out"))
     raw["eval"].update(target_checkpoint=micro_checkpoints["target"],
@@ -336,8 +340,7 @@ def test_eval_attack_and_report_share_one_evaluation_path(tmp_path, monkeypatch,
         {"kind": "epsilon_sweep", "attack": "pgd", "iterations": 2,
          "epsilons": [0.0, 0.002]},
         {"kind": "iteration_sweep", "attack": "fs", "counts": [1, 2]}]
-    raw["report"] = {"checkpoints": [["target", micro_checkpoints["target"]]],
-                     "iterations": [2]}
+    raw["report"] = {"checkpoints": [["target", micro_checkpoints["target"]]]}
     path = write_config(tmp_path, raw)
     sinkhorn = cfg.config_from_dict(raw).train.sinkhorn
     assert sinkhorn != SinkhornSettings()
@@ -350,10 +353,13 @@ def test_eval_attack_and_report_share_one_evaluation_path(tmp_path, monkeypatch,
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(ev, "generate", recording_generate)
+    # ablate trains seven models; its report keeps to the white-box grid
+    ablate_grid = ["--set", "eval.scenarios=" + json.dumps(white_box_grid(2))]
     for command in ("eval", "attack", "report", "ablate"):
         solvers.clear()
         assert cli.main([command, "--config", path, "--out", str(tmp_path / command),
-                         "--set", "train.epochs=1"]) == 0
+                         "--set", "train.epochs=1"]
+                        + (ablate_grid if command == "ablate" else [])) == 0
         assert solvers and all(s == sinkhorn for s in solvers), command
 
     lines = (tmp_path / "eval" / "report.jsonl").read_text().splitlines()[1:]
@@ -363,10 +369,14 @@ def test_eval_attack_and_report_share_one_evaluation_path(tmp_path, monkeypatch,
             "iteration_sweep:fs10@T=2"} <= {e["name"] for e in attacked}
     assert all(e["snr_mean_db"] is not None and e["snr_min_db"] is not None
                for e in attacked)
-    columns, row = (tmp_path / "report" / "comparison.csv").read_text().splitlines()[1:]
-    cells = dict(zip(columns.split(",")[1:], map(float, row.split(",")[1:])))
-    for name in ("clean", "pgd2", "cw2", "fs2"):
-        assert cells[name] == entries[name]["accuracy"], name
+    # a report row is `eval` on its checkpoint: the same entries, and its sweep curves
+    row_lines = (tmp_path / "report" / "target" / "report.jsonl").read_text().splitlines()[1:]
+    assert row_lines == lines
+    curves = [[l for l in (tmp_path / d / "curves.csv").read_text().splitlines()
+               if not l.startswith("#")]  # the comments carry each run's fingerprint
+              for d in ("report/target", "eval")]
+    assert curves[0] == curves[1] and len(curves[0]) == 6
+    assert_cells_match_row_reports(tmp_path / "report", ["target"])
 
 
 def test_cli_validate_prints_each_warning_once(tmp_path, capsys):
@@ -418,8 +428,8 @@ def test_cli_report_over_two_checkpoints(tmp_path):
 
     raw_r = micro_config_dict(out=str(tmp_path / "cmp"))
     raw_r["report"] = {"checkpoints": [["standard", str(out_a / "checkpoint.npz")],
-                                       ["fgsm_at", str(out_b / "checkpoint.npz")]],
-                       "iterations": [2]}
+                                       ["fgsm_at", str(out_b / "checkpoint.npz")]]}
+    raw_r["eval"]["scenarios"] = white_box_grid(2)
     path_r = write_config(tmp_path, raw_r, "report.json")
     assert cli.main(["report", "--config", path_r]) == 0
     table = (tmp_path / "cmp" / "comparison.txt").read_text()
@@ -480,10 +490,12 @@ def test_cli_ablate_micro(tmp_path):
     raw = micro_config_dict(defense="standard", out=str(out))
     raw["train"]["epochs"] = 1
     raw["train"]["attack"]["iterations"] = 1
-    raw["report"]["iterations"] = [1]
+    raw["eval"]["scenarios"] = white_box_grid(1)
     path = write_config(tmp_path, raw)
     assert cli.main(["ablate", "--config", path]) == 0
     subsets = ["CE", "FS", "M", "CE+FS", "CE+M", "FS+M", "CE+FS+M"]
+    assert (out / "comparison.csv").read_text().splitlines()[1] == \
+        "defense,clean,fgsm,pgd1,cw1,fs1"
     assert_cells_match_row_reports(out, subsets)
     for name in subsets:
         weights = [float(term in name.split("+")) for term in ("CE", "FS", "M")]
@@ -491,6 +503,9 @@ def test_cli_ablate_micro(tmp_path):
         assert resolved["train"]["defense"] == "hat"
         assert [resolved["train"]["attack"][w] for w in ("beta", "gamma", "zeta")] == weights
         assert (out / name / "checkpoint.npz").exists()
+        # the training consumed the subset's weights
+        log = (out / name / "trainlog.jsonl").read_text().splitlines()
+        assert [json.loads(record)["attack_weights"] for record in log] == [weights]
 
 
 # --- the attack registry ------------------------------------------------------
@@ -514,7 +529,7 @@ def test_desk_eval_scenarios_and_defense_attacks_are_pinned():
     from advspeaker import training as tr
     from advspeaker.util import canonical_json
 
-    config = cfg.BUILTIN_PRESETS["desk-standard"]()
+    config = cfg.load_config(PRESET_DIR / "desk-standard.json")
     resolved = []
     for scenario in config.eval.scenarios:
         spec = cli._scenario_spec(scenario, config.eval)
@@ -555,8 +570,7 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("eval", ['eval.scenarios=[{"kind": "epsilon_sweep", "epsilons": [0.0, 0.002]}]',
               "eval.epsilon=0"], "eval.epsilon"),
     ("attack", ['eval.scenarios=[{"kind": "clean"}]', "eval.epsilon=0"], "eval.epsilon"),
-    ("report", ["report.iterations=[0]", 'report.checkpoints=[["a", "a.npz"]]'],
-     "report.iterations"),
+    ("report", ['report.checkpoints=[["comparison.csv", "a.npz"]]'], "report.checkpoints"),
     ("eval", ['eval.scenarios=[{"kind": "pgd", "iterations": "x"}]'],
      "eval.scenarios[0].iterations"),
     ("eval", ['eval.scenarios=[{"kind": "pgd", "epsilon": "x"}]'],
@@ -566,8 +580,7 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("eval", ['eval.scenarios=[{"kind": "iteration_sweep", "counts": [2.5]}]'],
      "eval.scenarios[0].counts"),
     ("eval", ['eval.epsilon="x"'], "eval.epsilon"),
-    ("report", ['report.iterations=["x"]', 'report.checkpoints=[["a", "a.npz"]]'],
-     "report.iterations"),
+    ("report", ['report.checkpoints=[["comparison.txt", "a.npz"]]'], "report.checkpoints"),
     ("train", ["train.epochs=2.5"], "train.epochs"),
     ("train", ['train.attack.beta="x"'], "train.attack.beta"),
     ("eval", ['eval.batch_size="x"'], "eval.batch_size"),
@@ -586,6 +599,7 @@ def test_default_train_alpha_follows_the_resolved_budget():
      "corpus.sample_rate"),
     ("train", ["train.checkpoint_every=-1"], "train.checkpoint_every"),
     ("report", ['report.checkpoints=[["..", "a.npz"]]'], "report.checkpoints"),
+    ("report", ['report.checkpoints=[[".lock", "a.npz"]]'], "report.checkpoints"),
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):
@@ -601,7 +615,9 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
 @pytest.mark.parametrize("build, fields", [
     (lambda: cfg.EvalSection(batch_size=0), ["batch_size"]),
     (lambda: cfg.ScenarioSection("pgd", iterations=0, epsilon=-1), ["iterations", "epsilon"]),
-    (lambda: cfg.ReportSection(iterations=[0]), ["iterations"]),
+    (lambda: cfg.ReportSection(checkpoints=(("comparison.txt", "a.npz"),
+                                            ("comparison.csv", "b.npz"), (".lock", "c.npz"))),
+     ["checkpoints"] * 3),
     (lambda: cfg.ReportSection(checkpoints=(("", "a.npz"), (".", "b.npz"), ("..", "c.npz"),
                                             ("x/y", "d.npz"), ("z", "e.npz"), ("z", "f.npz"))),
      ["checkpoints"] * 5),
@@ -611,7 +627,7 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
     (lambda: cfg.FrontendConfig(sample_rate=0), ["sample_rate"]),
     (lambda: pgd_spec(0.002, alpha=-1.0), ["alpha"]),
     (lambda: cfg.LossWeights(gamma=-1.0), ["gamma"]),
-    (lambda: cfg.SinkhornSettings(max_iters=0), ["max_iters"]),
+    (lambda: SinkhornSettings(max_iters=0), ["max_iters"]),
 ], ids=["eval", "scenario", "report", "report-rows", "corpus", "train", "model", "frontend",
         "attack", "weights", "sinkhorn"])
 def test_a_section_refuses_its_own_bad_fields_when_built(build, fields):
@@ -640,7 +656,7 @@ def test_every_config_dataclass_is_frozen():
 def test_frozen_sections_hold_no_mutable_lists():
     config = cfg.config_from_dict(micro_config_dict())
     with pytest.raises(AttributeError):
-        config.report.iterations.append(0)
+        config.report.checkpoints.append(("a", "a.npz"))
     assert isinstance(config.eval.scenarios, tuple)
     assert config.to_dict() == micro_config_dict()
 
@@ -735,9 +751,9 @@ def test_sweep_entries_record_the_spec_each_point_ran(tmp_path):
 # desk-eval set-up round-trips a checkpoint; these literals pin the bytes.
 
 PRESET_FINGERPRINTS = {
-    "desk-standard": "9beeea3f777d7557", "desk-fgsm-at": "da2e4877acd49635",
-    "desk-pgd-at": "aed2248eb4d360c9", "desk-fs-at": "bf7b716ad330f3ec",
-    "desk-hat": "e9460bb63660c928", "paper-hat": "691b668ace33a505",
+    "desk-standard": "c9cdda99391b0d39", "desk-fgsm-at": "98b6538a6d978af3",
+    "desk-pgd-at": "63dc6d94e7bafefb", "desk-fs-at": "23606d2296eabd4a",
+    "desk-hat": "ee086f1e9b044665", "paper-hat": "2417682814bd26db",
 }
 
 
@@ -747,11 +763,10 @@ def test_serialized_bytes_are_pinned(tmp_path):
     from advspeaker import data as dt
     from advspeaker import model as mdl
 
-    for name, factory in cfg.BUILTIN_PRESETS.items():
-        assert factory().fingerprint() == PRESET_FINGERPRINTS[name], name
-        assert cfg.load_config(PRESET_DIR / f"{name}.json").fingerprint() \
-            == PRESET_FINGERPRINTS[name], name
-    hat = cfg.desk_preset("hat")
+    assert sorted(p.stem for p in PRESET_DIR.glob("*.json")) == sorted(PRESET_FINGERPRINTS)
+    for name, fingerprint in PRESET_FINGERPRINTS.items():
+        assert cfg.load_config(PRESET_DIR / f"{name}.json").fingerprint() == fingerprint, name
+    hat = cfg.load_config(PRESET_DIR / "desk-hat.json")
     assert dt.synth_corpus(hat.corpus.synth_config()).fingerprint == "c16f7580e8ebe819"
     path = tmp_path / "ckpt.npz"
     mdl.save_checkpoint(path, mdl.build(hat.model, hat.frontend, 7),

@@ -1,18 +1,14 @@
 """Evaluation-harness tests on micro models (desk-scale behavior is covered
 by the acceptance suite)."""
 
-import json
-
 import numpy as np
 import pytest
 
-from advspeaker import cli
-from advspeaker import config as cfg
 from advspeaker import data as dt
 from advspeaker import evaluate as ev
 from advspeaker import model as mdl
 from advspeaker import training as tr
-from advspeaker.attacks import AttackSpec, pgd_spec
+from advspeaker.attacks import AttackSpec, model_forward_fn, pgd_spec, spec_with
 from advspeaker.frontend import FrontendConfig
 from advspeaker.losses import LossWeights
 
@@ -39,11 +35,10 @@ def trained(corpus):
 
 
 def test_zero_budget_point_equals_clean_accuracy(corpus, trained):
-    clean = ev.clean_accuracy(trained, corpus, batch_size=16)
-    curve = ev.epsilon_sweep(trained, corpus, [0.0, 0.002], pgd_spec(0.002, 2),
-                             batch_size=16)
-    assert curve[0] == (0.0, clean)
-    assert len(curve) == 2
+    clean, _ = ev.accuracy_under_attack(trained, corpus, None, batch_size=16)
+    zero, _ = ev.accuracy_under_attack(trained, corpus, spec_with(pgd_spec(0.002, 2),
+                                                                  epsilon=0.0), batch_size=16)
+    assert zero == clean
 
 
 def test_untrained_models_sit_at_chance_level_on_average():
@@ -53,8 +48,9 @@ def test_untrained_models_sit_at_chance_level_on_average():
                            duration_s=0.2, sample_rate=4000, seed=37)
     balanced = dt.synth_corpus(synth)
     seeds = range(1000, 1010)
-    clean = [ev.clean_accuracy(mdl.build(mdl.SpeakerCNNConfig.tiny(10), MICRO_FE, s),
-                               balanced, batch_size=32, split="train") for s in seeds]
+    clean = [ev.accuracy_under_attack(mdl.build(mdl.SpeakerCNNConfig.tiny(10), MICRO_FE, s),
+                                      balanced, None, batch_size=32, split="train")[0]
+             for s in seeds]
     assert abs(np.mean(clean) - 100.0 / 10) <= 5.0
     fgsm = AttackSpec(LossWeights(1, 0, 0), 0.002, 0.002, 1, False)
     attacked = [ev.accuracy_under_attack(
@@ -66,26 +62,30 @@ def test_untrained_models_sit_at_chance_level_on_average():
 def test_transfer_with_source_equal_target_matches_white_box(corpus, trained):
     spec = pgd_spec(0.002, 2)
     white, _ = ev.accuracy_under_attack(trained, corpus, spec, batch_size=16, seed=5)
-    degenerate = ev.transfer_eval(trained, trained, corpus, spec, batch_size=16, seed=5)
+    degenerate, _ = ev.accuracy_under_attack(trained, corpus, spec,
+                                             attacker=model_forward_fn(trained),
+                                             batch_size=16, seed=5)
     assert white == degenerate
 
 
 def test_transfer_from_untrained_source_barely_moves_target(corpus, trained):
-    clean = ev.clean_accuracy(trained, corpus, batch_size=16)
+    clean, _ = ev.accuracy_under_attack(trained, corpus, None, batch_size=16)
     random_source = mdl.build(MICRO_CNN, MICRO_FE, seed=99)
-    acc = ev.transfer_eval(random_source, trained, corpus, pgd_spec(0.002, 3),
-                           batch_size=16, seed=6)
+    acc, _ = ev.accuracy_under_attack(trained, corpus, pgd_spec(0.002, 3),
+                                      attacker=model_forward_fn(random_source),
+                                      batch_size=16, seed=6)
     assert abs(acc - clean) <= 3.0 + 1e-9
 
 
 def test_iteration_sweep_first_point_is_one_full_step(corpus, trained):
-    template = pgd_spec(0.002, 10)
-    curve = ev.iteration_sweep(trained, corpus, [1, 2], template, batch_size=16, seed=7)
+    first = spec_with(pgd_spec(0.002, 10), iterations=1)
     one_step = AttackSpec(LossWeights(1, 0, 0), 0.002, alpha=0.002,
                           iterations=1, random_init=True)
+    assert first == one_step
+    swept, _ = ev.accuracy_under_attack(trained, corpus, first, batch_size=16, seed=7)
     expected, _ = ev.accuracy_under_attack(trained, corpus, one_step,
                                            batch_size=16, seed=7)
-    assert curve[0] == (1, expected)
+    assert swept == expected
 
 
 def test_report_hash_excludes_timestamps(corpus, trained):
@@ -110,37 +110,6 @@ def test_curve_csv_layout():
     assert lines[0] == "# fp=abc"
     assert lines[1] == "x,accuracy,attack,seed"
     assert lines[2] == "0.001,88.00,pgd,3"
-
-
-def test_ablation_grid_structure_and_weight_audit(tmp_path):
-    # the ablation grid is `ablate`: one HAT training per loss subset, then
-    # one report row per subset, on the micro corpus and model above
-    raw = cfg.desk_preset("hat").to_dict()
-    raw["corpus"].update(num_speakers=3, utterances_per_speaker=10, duration_s=0.2,
-                         sample_rate=4000, seed=31)
-    raw["frontend"].update(sample_rate=4000, window_length=128, hop_length=64,
-                           fft_size=128, mel_bins=12)
-    raw["model"].update(num_speakers=3, channels=[8, 8])
-    raw["train"].update(epochs=1, batch_size=9, lr_schedule=[[60, 0.1]],
-                        segment_length=800)
-    raw["train"]["attack"].update(iterations=1, alpha=0.002)
-    raw["eval"].update(batch_size=16)
-    raw["report"]["iterations"] = [1]
-    raw["seed"], raw["output_dir"] = 4, str(tmp_path / "abl")
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
-    assert cli.main(["ablate", "--config", str(path)]) == 0
-
-    out = tmp_path / "abl"
-    lines = (out / "comparison.csv").read_text().strip().splitlines()
-    assert lines[1] == "defense,clean,fgsm,pgd1,cw1,fs1"
-    subsets = [line.split(",")[0] for line in lines[2:]]
-    assert subsets == ["CE", "FS", "M", "CE+FS", "CE+M", "FS+M", "CE+FS+M"]
-    for subset in subsets:
-        weights = [float(term in subset.split("+")) for term in ("CE", "FS", "M")]
-        log = (out / subset / "trainlog.jsonl").read_text().splitlines()
-        # the training consumed the subset's declared weights
-        assert [json.loads(record)["attack_weights"] for record in log] == [weights]
 
 
 def test_masking_checks_structure_and_degenerate_source(corpus, trained):

@@ -1,5 +1,7 @@
 """Training loop tests on a micro synthetic setup."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,20 @@ def test_trainlog_is_deterministic(micro_corpus):
 
     first, second = run(), run()
     assert [r.stable_dict() for r in first] == [r.stable_dict() for r in second]
+
+
+def test_a_fresh_run_starts_a_fresh_trainlog_and_a_resumed_run_appends(micro_corpus, tmp_path):
+    config = micro_train_config(epochs=1)
+    for _ in range(2):
+        tr.fit(mdl.build(MICRO_CNN, MICRO_FE, seed=6), micro_corpus, config, seed=11,
+               out_dir=tmp_path)
+        assert len((tmp_path / "trainlog.jsonl").read_text().splitlines()) == config.epochs
+    loaded, meta = mdl.load_checkpoint(tmp_path / "checkpoint.npz")
+    tr.fit(loaded, micro_corpus, micro_train_config(epochs=2), seed=11, out_dir=tmp_path,
+           start_epoch=meta["epoch"] + 1, velocity=meta["velocity"])
+    epochs = [json.loads(line)["epoch"]
+              for line in (tmp_path / "trainlog.jsonl").read_text().splitlines()]
+    assert epochs == [1, 2]
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(micro_corpus, tmp_path):
