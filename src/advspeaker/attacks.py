@@ -35,7 +35,7 @@ DEFAULT_MARGIN = 50.0
 class AttackSpec:
     """Loss weights plus budget; determines every attack in the family.
 
-    ``alpha=None`` resolves to ``default_alpha(epsilon, iterations)``.
+    ``alpha`` is the stated step size; None leaves it to ``step``.
     """
 
     weights: LossWeights
@@ -49,8 +49,11 @@ class AttackSpec:
         check([(self.epsilon <= 0, "epsilon: must be > 0"),
                (self.iterations < 1, "iterations: must be >= 1"),
                (self.alpha is not None and self.alpha <= 0, "alpha: must be > 0")])
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", default_alpha(self.epsilon, self.iterations))
+
+    @property
+    def step(self) -> float:
+        """The step size the attack takes: ``alpha``, or ``default_alpha`` if unstated."""
+        return default_alpha(self.epsilon, self.iterations) if self.alpha is None else self.alpha
 
 
 def default_alpha(epsilon: float, iterations: int) -> float:
@@ -105,7 +108,7 @@ hybrid_spec = partial(attack_spec, "hybrid")
 
 def spec_with(spec: AttackSpec, *, epsilon: float | None = None,
               iterations: int | None = None) -> AttackSpec | None:
-    """Copy a spec at another budget or step count, with ``default_alpha``.
+    """Copy a spec at another budget or step count, its alpha unstated.
 
     A zero budget is the clean evaluation and gives None.
     """
@@ -188,7 +191,7 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         loss = hybrid_loss(spec.weights, logits, logits_clean, y,
                            margin=spec.margin, sinkhorn=sinkhorn)
         ad.backward(loss)
-        x_adv = pgd_step(x_adv, xv.grad, lo, hi, spec.alpha)
+        x_adv = pgd_step(x_adv, xv.grad, lo, hi, spec.step)
         realized = np.abs(x_adv - x).max()
         if realized > spec.epsilon + 1e-12:
             raise AssertionError(f"ball invariant violated at step {t}: {realized} > {spec.epsilon}")

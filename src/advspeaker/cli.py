@@ -33,6 +33,7 @@ from .data import Corpus, ingest, load_corpus, save_manifest, synth_corpus, writ
 from .losses import LossWeights
 from .model import CheckpointError, build, load_checkpoint
 from .training import fit
+from .util import to_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,7 +141,7 @@ def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     params = build(config.model, config.frontend, config.seed)
     fp = config.fingerprint()
     (out_dir / "config.resolved.json").write_text(
-        json.dumps(dict(config.to_dict(), fingerprint=fp), indent=2, sort_keys=True) + "\n")
+        json.dumps(dict(to_json(config), fingerprint=fp), indent=2, sort_keys=True) + "\n")
     records = fit(params, corpus, config.train, seed=config.seed,
                   out_dir=out_dir, config_fingerprint=fp,
                   log_hook=lambda r: print(
@@ -191,8 +192,11 @@ def _evaluate(config: ExperimentConfig, corpus: Corpus, params, target_name: str
 
 def _write_report(report: ev.RobustnessReport, curves_csv: list[str], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    curves = out_dir / "curves.csv"
     if curves_csv:
-        (out_dir / "curves.csv").write_text("".join(curves_csv))
+        curves.write_text("".join(curves_csv))
+    else:
+        curves.unlink(missing_ok=True)  # a previous run's curves would outlive its report
     (out_dir / "report.jsonl").write_text(report.to_jsonl())
     (out_dir / "report.txt").write_text(report.render_table())
     print(f"report hash {report.content_hash()} -> {out_dir / 'report.jsonl'}")
@@ -271,7 +275,7 @@ def cmd_report(config: ExperimentConfig, out_dir: Path) -> int:
     columns = list(rows[0][1])
 
     stamp = f"# fingerprint={config.fingerprint()} seed={config.seed}"
-    width = max(len(name) for name, _ in rows)
+    width = max(len("defense"), *(len(name) for name, _ in rows))
     widths = {c: max(8, len(c)) for c in columns}
     table = [f"{stamp} eps={config.eval.epsilon:g}",
              "defense".ljust(width) + "".join(f"  {c:>{widths[c]}}" for c in columns)]

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON, AttackSpec
+from .attacks import ATTACKS, DEFAULT_MARGIN, REFERENCE_EPSILON
 from .data import SynthConfig
 from .frontend import FrontendConfig
-from .losses import LossWeights
 from .model import SpeakerCNNConfig, min_input_samples
-from .training import TrainConfig, default_train_attack
-from .util import ConfigError, check, fingerprint, from_json, gather, to_json
+from .training import TrainConfig
+from .util import ConfigError, check, fingerprint, from_json, to_json
 
 
 @dataclass(frozen=True)
@@ -127,42 +126,17 @@ class ExperimentConfig:
     def __post_init__(self):
         check([(self.seed < 0, "seed: must be >= 0")])
 
-    def to_dict(self) -> dict:
-        d = to_json(self)
-        attack = d["train"]["attack"]
-        attack.update(attack.pop("weights"))
-        return d
-
     def fingerprint(self) -> str:
-        return fingerprint(self.to_dict())
+        return fingerprint(to_json(self))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The experiment a JSON document describes, on top of ``ExperimentConfig()``.
 
-    ``util.from_json`` checks every field against its annotation. The one
-    layout rule is ``train.attack``'s: its loss weights are written flat
-    beside the budget, and an unstated alpha follows epsilon and T. Its
-    errors are listed with the other sections'.
+    ``util.from_json`` checks every field against its annotation and lists
+    every section's errors at once.
     """
-    raw = copy.deepcopy(raw)
-    attack = {}
-    if isinstance(raw, dict) and isinstance(raw.get("train"), dict):
-        attack = raw["train"].pop("attack", {})
-
-    def build_attack() -> AttackSpec:
-        if not isinstance(attack, dict) or "weights" in attack:
-            raise ConfigError([f"train.attack: must be an object with beta, gamma and zeta "
-                               f"written flat, got {attack!r}"])
-        reference = default_train_attack()
-        weights = {f.name: attack.pop(f.name) for f in fields(LossWeights) if f.name in attack}
-        weights = from_json(reference.weights, weights, "train.attack")
-        return from_json(replace(reference, weights=weights), {"alpha": None, **attack},
-                         "train.attack")
-
-    config, attack = gather(lambda build: build(),
-                            [lambda: from_json(ExperimentConfig(), raw), build_attack])
-    return replace(config, train=replace(config.train, attack=attack))
+    return from_json(ExperimentConfig(), raw)
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:

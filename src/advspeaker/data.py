@@ -154,7 +154,10 @@ def ingest(root, split_seed: int = 0) -> CorpusManifest:
                 rejects.append(f"{wav_path}: sample rate {rate} != corpus rate {sample_rate}")
                 continue
             usable.append((str(wav_path), samples.size / rate))
-        n_train, n_test = split_counts(len(usable))
+        try:
+            n_train, n_test = split_counts(len(usable))
+        except CorpusError as exc:
+            raise CorpusError(f"{spk_dir}: {exc}") from None
         perm = rng_for(split_seed, stable_int(speaker)).permutation(len(usable))
         test_positions = set(perm[:n_test].tolist())
         for i, (path, duration) in enumerate(usable):

@@ -76,7 +76,7 @@ class RobustnessReport:
 def attack_dict(spec: AttackSpec | None) -> dict | None:
     if spec is None:
         return None
-    return dict(to_json(spec), weights=list(spec.weights.as_tuple()))
+    return dict(to_json(spec), weights=list(spec.weights.as_tuple()), alpha=spec.step)
 
 
 def accuracy_under_attack(target: ModelParams, corpus: Corpus,

@@ -10,7 +10,7 @@ the raw waveform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class SpeakerCNNConfig:
     num_speakers: int = 251
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
         check([(len(self.channels) != self.num_stacks,
                 f"channels: has {len(self.channels)} entries for {self.num_stacks} stacks"),
                (any(c < 1 for c in self.channels), "channels: must all be >= 1"),
@@ -177,7 +176,11 @@ def save_checkpoint(path, params: ModelParams, *, config_fingerprint: str = "",
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
-    """Returns (params, meta); meta carries epoch, fingerprints and optimizer state."""
+    """Returns (params, meta); meta carries epoch, fingerprints and optimizer state.
+
+    Arrays, running stats and any optimizer state must have the names and
+    shapes of the model the meta describes.
+    """
     try:
         with np.load(path) as data:
             payload = {k: data[k] for k in data.files}
@@ -202,7 +205,17 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     velocity = {k[len("vel__"):]: v for k, v in payload.items() if k.startswith("vel__")}
     model_config = _config_from_meta(path, meta, "model", SpeakerCNNConfig)
     frontend_config = _config_from_meta(path, meta, "frontend", FrontendConfig)
-    params = ModelParams(model_config, frontend_config, arrays, running, meta["seed"])
+    described = build(model_config, frontend_config, 0)
+    for prefix, found, expected in (("arr", arrays, described.arrays),
+                                    ("run", running, described.running),
+                                    # a checkpoint without optimizer state passes
+                                    ("vel", velocity or described.arrays, described.arrays)):
+        for name in sorted(found.keys() | expected.keys()):
+            shapes = [d[name].shape if name in d else "absent" for d in (found, expected)]
+            if shapes[0] != shapes[1]:
+                raise CheckpointError(f"{path}: {prefix}__{name}: {shapes[0]} in the file, "
+                                      f"{shapes[1]} in the model its meta describes")
+    params = replace(described, arrays=arrays, running=running, seed=meta["seed"])
     meta["velocity"] = velocity or None
     return params, meta
 

@@ -33,11 +33,6 @@ DEFENSE_KINDS = ("standard", *DEFENSE_ATTACKS, "hat")
 PAPER_LR_SCHEDULE = ((60, 0.1), (90, 0.01), (200, 0.001))
 
 
-def default_train_attack() -> AttackSpec:
-    """The reference training attack: the hybrid attack at the reference budget."""
-    return hybrid_spec(REFERENCE_EPSILON)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
@@ -47,7 +42,7 @@ class TrainConfig:
     w1: float = 1.0
     w2: float = 1.0
     defense: str = "standard"
-    attack: AttackSpec = field(default_factory=default_train_attack)
+    attack: AttackSpec = field(default_factory=lambda: hybrid_spec(REFERENCE_EPSILON))
     sinkhorn: SinkhornSettings = field(default_factory=SinkhornSettings)
     segment_length: int = 48000
     checkpoint_every: int = 0  # 0: only at the end

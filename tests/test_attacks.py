@@ -242,17 +242,17 @@ def test_generate_ball_invariant_property(seed, eps, iterations):
 def test_spec_with_epsilon_rescales_alpha():
     spec = atk.pgd_spec(0.002, iterations=10)
     wider = atk.spec_with(spec, epsilon=0.01)
-    assert wider.epsilon == 0.01 and wider.alpha == 0.002
+    assert wider.epsilon == 0.01 and wider.alpha is None and wider.step == 0.002
     one_step = atk.spec_with(atk.fgsm_spec(0.002), epsilon=0.01)
-    assert one_step.alpha == 0.01
+    assert one_step.step == 0.01
 
 
 def test_default_alpha_is_full_budget_for_one_step_else_a_fifth():
     assert atk.default_alpha(0.002, 1) == 0.002
     assert atk.default_alpha(0.002, 10) == 0.002 / 5
-    assert atk.pgd_spec(0.002, iterations=1).alpha == 0.002
-    assert atk.hybrid_spec(0.002).alpha == 0.002 / 5
-    assert atk.cw_spec(0.002, alpha=0.001).alpha == 0.001
+    assert atk.pgd_spec(0.002, iterations=1).step == 0.002
+    assert atk.hybrid_spec(0.002).step == 0.002 / 5
+    assert atk.cw_spec(0.002, alpha=0.001).step == 0.001
 
 
 def test_explicit_zero_alpha_is_rejected_not_defaulted():

@@ -9,7 +9,8 @@ import pytest
 from advspeaker import cli
 from advspeaker import config as cfg
 from advspeaker.attacks import pgd_spec
-from advspeaker.losses import SinkhornSettings
+from advspeaker.losses import LossWeights, SinkhornSettings
+from advspeaker.util import to_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PRESET_DIR = REPO_ROOT / "configs"
@@ -157,8 +158,8 @@ def test_every_field_is_type_checked_naming_its_json_path(name, keys, value):
 
 def test_round_trip_through_dict():
     config = cfg.config_from_dict(micro_config_dict("hat"))
-    again = cfg.config_from_dict(config.to_dict())
-    assert again.to_dict() == config.to_dict()
+    again = cfg.config_from_dict(to_json(config))
+    assert to_json(again) == to_json(config)
     assert again.fingerprint() == config.fingerprint()
 
 
@@ -197,7 +198,7 @@ def test_cli_eval_without_checkpoint_is_missing_artifact(tmp_path):
 
 
 def _write_broken_checkpoint(path, broken):
-    """A non-npz file, or a micro checkpoint with a broken meta block."""
+    """A non-npz file, or a micro checkpoint with a broken meta block or arrays."""
     from advspeaker import model as mdl
 
     if broken == "text":
@@ -210,22 +211,28 @@ def _write_broken_checkpoint(path, broken):
     meta = json.loads(payload["meta_json"].tobytes())
     if broken == "no-kernel-size":
         del meta["model"]["kernel_size"]
-    elif broken.startswith("no-"):
-        del meta[_missing_key(broken)]
+    elif broken == "no-array":
+        del payload["arr__fc.b"]
+    elif broken == "array-shape":  # kernel 3 under meta kernel_size 5
+        payload["arr__conv0.w"] = payload["arr__conv0.w"][..., :3]
+    elif broken in ("no-seed", "no-corpus-fingerprint"):
+        del meta[NAMED_KEY[broken]]
     text = {"meta-not-json": "not json", "meta-not-object": "[]"}.get(broken, json.dumps(meta))
     payload["meta_json"] = np.frombuffer(text.encode(), dtype=np.uint8)
     np.savez(path, **payload)
 
 
-def _missing_key(broken):
-    """'no-corpus-fingerprint' -> 'corpus_fingerprint'."""
-    return broken.removeprefix("no-").replace("-", "_")
+# the key each broken checkpoint's error names, besides the checkpoint's path
+NAMED_KEY = {"no-kernel-size": "kernel_size", "no-seed": "seed",
+             "no-corpus-fingerprint": "corpus_fingerprint",
+             "no-array": "arr__fc.b", "array-shape": "arr__conv0.w"}
 
 
 @pytest.mark.parametrize("command, broken", [
     ("eval", "text"), ("attack", "text"), ("report", "text"),
     ("eval", "no-kernel-size"), ("eval", "meta-not-json"), ("eval", "meta-not-object"),
-    ("eval", "no-seed"), ("eval", "no-corpus-fingerprint")])
+    ("eval", "no-seed"), ("eval", "no-corpus-fingerprint"), ("eval", "no-array"),
+    ("eval", "array-shape")])
 def test_cli_unreadable_checkpoint_is_exit_4_naming_the_path(tmp_path, capsys, command,
                                                              broken):
     checkpoint = tmp_path / "broken.npz"
@@ -236,8 +243,8 @@ def test_cli_unreadable_checkpoint_is_exit_4_naming_the_path(tmp_path, capsys, c
     assert cli.main([command, "--config", write_config(tmp_path, raw)]) == cli.EXIT_MISSING
     err = capsys.readouterr().err
     assert str(checkpoint) in err
-    if broken.startswith("no-"):
-        assert _missing_key(broken) in err
+    if broken in NAMED_KEY:
+        assert NAMED_KEY[broken] in err
 
 
 def test_cli_train_then_eval_then_attack(tmp_path, capsys):
@@ -270,6 +277,11 @@ def test_cli_train_then_eval_then_attack(tmp_path, capsys):
                  if json.loads(l)["name"] == "clean"][0]
     zero_row = [r for r in sweep_rows if r["name"].endswith("eps=0")][0]
     assert zero_row["accuracy"] == clean_row["accuracy"]
+    # a rerun without sweeps into the same directory leaves no stale curves
+    assert cli.main(["eval", "--config", path, "--out", str(eval_out),
+                     "--set", 'eval.scenarios=[{"kind": "clean"}]']) == 0
+    assert len((eval_out / "report.jsonl").read_text().splitlines()) == 2
+    assert not (eval_out / "curves.csv").exists()
 
     attack_out = tmp_path / "attack-out"
     assert cli.main(["attack", "--config", path, "--out", str(attack_out)]) == 0
@@ -427,16 +439,19 @@ def test_cli_report_over_two_checkpoints(tmp_path):
     assert cli.main(["train", "--config", path_b]) == 0
 
     raw_r = micro_config_dict(out=str(tmp_path / "cmp"))
-    raw_r["report"] = {"checkpoints": [["standard", str(out_a / "checkpoint.npz")],
-                                       ["fgsm_at", str(out_b / "checkpoint.npz")]]}
+    # row names shorter than the "defense" header
+    raw_r["report"] = {"checkpoints": [["std", str(out_a / "checkpoint.npz")],
+                                       ["fgsm", str(out_b / "checkpoint.npz")]]}
     raw_r["eval"]["scenarios"] = white_box_grid(2)
     path_r = write_config(tmp_path, raw_r, "report.json")
     assert cli.main(["report", "--config", path_r]) == 0
-    table = (tmp_path / "cmp" / "comparison.txt").read_text()
-    assert "standard" in table and "fgsm_at" in table
+    header, *rows = (tmp_path / "cmp" / "comparison.txt").read_text().splitlines()[1:]
+    assert header.split() == ["defense", "clean", "fgsm", "pgd2", "cw2", "fs2"]
+    assert [row.split()[0] for row in rows] == ["std", "fgsm"]
+    assert {len(row) for row in rows} == {len(header)}  # every column lines up
     csv = (tmp_path / "cmp" / "comparison.csv").read_text()
     assert csv.splitlines()[1] == "defense,clean,fgsm,pgd2,cw2,fs2"
-    assert_cells_match_row_reports(tmp_path / "cmp", ["standard", "fgsm_at"])
+    assert_cells_match_row_reports(tmp_path / "cmp", ["std", "fgsm"])
 
 
 def assert_cells_match_row_reports(out_dir, row_names):
@@ -477,6 +492,15 @@ def test_cli_train_on_wav_dir_persists_manifest(tmp_path):
     assert len(manifest["entries"]) == 12
 
 
+def test_wav_dir_speaker_with_too_few_wavs_is_named(tmp_path, capsys):
+    raw = wav_dir_config(tmp_path)
+    short = tmp_path / "corpus" / "s2"
+    for i in range(1, 4):
+        (short / f"u{i}.wav").unlink()
+    assert cli.main(["train", "--config", write_config(tmp_path, raw)]) == cli.EXIT_CONFIG
+    assert f"error: {short}: speaker has 1 utterance(s); need >= 2" in capsys.readouterr().err
+
+
 def test_wav_dir_speaker_count_must_match_the_model(tmp_path, capsys):
     raw = wav_dir_config(tmp_path)
     raw["model"]["num_speakers"] = 2
@@ -501,7 +525,8 @@ def test_cli_ablate_micro(tmp_path):
         weights = [float(term in name.split("+")) for term in ("CE", "FS", "M")]
         resolved = json.loads((out / name / "config.resolved.json").read_text())
         assert resolved["train"]["defense"] == "hat"
-        assert [resolved["train"]["attack"][w] for w in ("beta", "gamma", "zeta")] == weights
+        resolved_weights = resolved["train"]["attack"]["weights"]
+        assert [resolved_weights[w] for w in ("beta", "gamma", "zeta")] == weights
         assert (out / name / "checkpoint.npz").exists()
         # the training consumed the subset's weights
         log = (out / name / "trainlog.jsonl").read_text().splitlines()
@@ -548,12 +573,17 @@ def test_desk_eval_scenarios_and_defense_attacks_are_pinned():
 
 
 def test_default_train_alpha_follows_the_resolved_budget():
-    wider = cfg.config_from_dict({"train": {"attack": {"epsilon": 0.01}}}).train.attack
-    assert wider.alpha == 0.01 / 5
+    wider = cfg.config_from_dict({"train": {"attack": {"epsilon": 0.01}}})
+    assert to_json(wider)["train"]["attack"]["alpha"] is None
+    assert wider.train.attack.step == 0.01 / 5
     one_step = cfg.config_from_dict({"train": {"attack": {"iterations": 1}}}).train.attack
-    assert one_step.alpha == 0.002
+    assert one_step.alpha is None and one_step.step == 0.002
     stated = cfg.config_from_dict({"train": {"attack": {"epsilon": 0.01, "alpha": 0.003}}})
-    assert stated.train.attack.alpha == 0.003
+    assert stated.train.attack.alpha == stated.train.attack.step == 0.003
+    # the presets state their step, so it holds under a budget override
+    for path in PRESET_DIR.glob("*.json"):
+        wider = cfg.load_config(path, ["train.attack.epsilon=0.01"]).train.attack
+        assert wider.alpha == wider.step == 0.0004, path.stem
 
 
 @pytest.mark.parametrize("command, overrides, field", [
@@ -582,7 +612,7 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("eval", ['eval.epsilon="x"'], "eval.epsilon"),
     ("report", ['report.checkpoints=[["comparison.txt", "a.npz"]]'], "report.checkpoints"),
     ("train", ["train.epochs=2.5"], "train.epochs"),
-    ("train", ['train.attack.beta="x"'], "train.attack.beta"),
+    ("train", ['train.attack.weights.beta="x"'], "train.attack.weights.beta"),
     ("eval", ['eval.batch_size="x"'], "eval.batch_size"),
     ("eval", ["eval.batch_size=0"], "eval.batch_size"),
     ("eval", ["eval.batch_size=-3"], "eval.batch_size"),
@@ -600,6 +630,7 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("train", ["train.checkpoint_every=-1"], "train.checkpoint_every"),
     ("report", ['report.checkpoints=[["..", "a.npz"]]'], "report.checkpoints"),
     ("report", ['report.checkpoints=[[".lock", "a.npz"]]'], "report.checkpoints"),
+    ("train", ["train.attack.beta=1"], "train.attack.beta: unknown key"),  # weights are nested
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):
@@ -626,7 +657,7 @@ def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, com
     (lambda: cfg.SpeakerCNNConfig(kernel_size=0, pool_width=1), ["kernel_size", "pool_width"]),
     (lambda: cfg.FrontendConfig(sample_rate=0), ["sample_rate"]),
     (lambda: pgd_spec(0.002, alpha=-1.0), ["alpha"]),
-    (lambda: cfg.LossWeights(gamma=-1.0), ["gamma"]),
+    (lambda: LossWeights(gamma=-1.0), ["gamma"]),
     (lambda: SinkhornSettings(max_iters=0), ["max_iters"]),
 ], ids=["eval", "scenario", "report", "report-rows", "corpus", "train", "model", "frontend",
         "attack", "weights", "sinkhorn"])
@@ -658,7 +689,7 @@ def test_frozen_sections_hold_no_mutable_lists():
     with pytest.raises(AttributeError):
         config.report.checkpoints.append(("a", "a.npz"))
     assert isinstance(config.eval.scenarios, tuple)
-    assert config.to_dict() == micro_config_dict()
+    assert to_json(config) == micro_config_dict()
 
 
 def test_every_section_errors_are_reported_at_once(capsys):
@@ -751,9 +782,9 @@ def test_sweep_entries_record_the_spec_each_point_ran(tmp_path):
 # desk-eval set-up round-trips a checkpoint; these literals pin the bytes.
 
 PRESET_FINGERPRINTS = {
-    "desk-standard": "c9cdda99391b0d39", "desk-fgsm-at": "98b6538a6d978af3",
-    "desk-pgd-at": "63dc6d94e7bafefb", "desk-fs-at": "23606d2296eabd4a",
-    "desk-hat": "ee086f1e9b044665", "paper-hat": "2417682814bd26db",
+    "desk-standard": "343e2632a7b3f819", "desk-fgsm-at": "67da71242e89e60d",
+    "desk-pgd-at": "65e823d3beb72ab6", "desk-fs-at": "c785401b472e072d",
+    "desk-hat": "8573182a6f012af6", "paper-hat": "a8f2a9223cad3cf6",
 }
 
 

@@ -1,5 +1,7 @@
 """Corpus, split, batching, and WAV round-trip tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_ingest_rejects_corrupt_but_fails_on_tiny_speaker(tmp_path):
     d = solo / "dave"
     d.mkdir()
     dt.write_wav(d / "only.wav", np.zeros(100) + 0.1, 8000)
-    with pytest.raises(dt.CorpusError):
+    with pytest.raises(dt.CorpusError, match=f"^{re.escape(str(d))}: speaker has 1 "):
         dt.ingest(solo)
 
 

@@ -79,9 +79,9 @@ def test_transfer_from_untrained_source_barely_moves_target(corpus, trained):
 
 def test_iteration_sweep_first_point_is_one_full_step(corpus, trained):
     first = spec_with(pgd_spec(0.002, 10), iterations=1)
-    one_step = AttackSpec(LossWeights(1, 0, 0), 0.002, alpha=0.002,
+    one_step = AttackSpec(LossWeights(1, 0, 0), 0.002, alpha=None,
                           iterations=1, random_init=True)
-    assert first == one_step
+    assert first == one_step and first.step == 0.002
     swept, _ = ev.accuracy_under_attack(trained, corpus, first, batch_size=16, seed=7)
     expected, _ = ev.accuracy_under_attack(trained, corpus, one_step,
                                            batch_size=16, seed=7)

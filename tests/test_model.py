@@ -130,3 +130,18 @@ def test_load_rejects_non_checkpoint(tmp_path):
     np.savez(path, a=np.ones(3))
     with pytest.raises(mdl.CheckpointError):
         mdl.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("broken", ["shape", "extra"])
+def test_load_rejects_optimizer_state_unlike_the_arrays(tmp_path, broken):
+    params = micro_params(9)
+    vel = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    if broken == "shape":
+        vel["fc.w"] = vel["fc.w"][:1]
+    else:
+        vel["fc.bias"] = np.zeros(3)
+    path = tmp_path / "ckpt.npz"
+    mdl.save_checkpoint(path, params, velocity=vel)
+    with pytest.raises(mdl.CheckpointError, match="vel__fc.w" if broken == "shape"
+                       else "vel__fc.bias"):
+        mdl.load_checkpoint(path)

@@ -81,7 +81,7 @@ def test_reference_defaults_are_all_ones():
     assert config.w1 == 1.0 and config.w2 == 1.0
     assert config.attack.weights.as_tuple() == (1.0, 1.0, 1.0)
     assert config.attack.epsilon == 0.002
-    assert config.attack.alpha == 0.002 / 5
+    assert config.attack.alpha is None and config.attack.step == 0.002 / 5
     assert config.attack.iterations == 10
     assert config.attack.margin == 50.0
     assert config.momentum == 0.9
@@ -92,7 +92,7 @@ def test_attack_spec_resolution():
     base = micro_train_config().attack
     assert tr.attack_spec_for_defense("standard", base) is None
     fgsm = tr.attack_spec_for_defense("fgsm_at", base)
-    assert fgsm.iterations == 1 and not fgsm.random_init and fgsm.alpha == base.epsilon
+    assert fgsm.iterations == 1 and not fgsm.random_init and fgsm.step == base.epsilon
     assert fgsm.weights.as_tuple() == (1, 0, 0)
     pgd = tr.attack_spec_for_defense("pgd_at", base)
     assert pgd.weights.as_tuple() == (1, 0, 0)
