@@ -380,14 +380,14 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     """Channel batch normalization for (n,C) or (n,C,L) inputs.
 
     mode "train": normalize with batch statistics and update the running
-    arrays in place; "batch": batch statistics without touching running
+    arrays in place; "attack": batch statistics without touching running
     stats (attack generation inside the training loop); "eval": use the
     running statistics.
     """
     x, gamma, beta = as_value(x), as_value(gamma), as_value(beta)
     if x.ndim not in (2, 3):
         raise ShapeError("batchnorm", f"expected (n,C) or (n,C,L), got {x.shape}")
-    if mode not in ("train", "batch", "eval"):
+    if mode not in ("train", "attack", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
     axes = (0,) if x.ndim == 2 else (0, 2)
     cshape = (1, -1) if x.ndim == 2 else (1, -1, 1)

@@ -224,6 +224,8 @@ def cmd_attack(config: ExperimentConfig, out_dir: Path) -> int:
                                          "eval.target_checkpoint", corpus)
     wav_dir = out_dir / "adv"
     wav_dir.mkdir(parents=True, exist_ok=True)
+    for stale in wav_dir.glob("adv_*.wav"):  # a previous run's waveforms would outlive its stats
+        stale.unlink()
     stats = []
     for x, y, adv in ev.attack_batches(model_forward_fn(params), corpus, spec,
                                        **_eval_kwargs(config)):

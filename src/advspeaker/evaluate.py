@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .attacks import AttackSpec, ForwardFn, fgsm_spec, generate, model_forward_fn, pgd_spec
 from .data import Corpus, batch_iter
 from .losses import SinkhornSettings
@@ -189,22 +188,3 @@ def masking_checks(target: ModelParams, sources: dict[str, ModelParams],
     }
     return MaskingChecks(check_a, check_b, check_c, evidence)
 
-
-def scrambled_gradient_forward(params: ModelParams, scramble_seed: int = 0):
-    """Negative control for the masking checks.
-
-    Forward values are the real model's, but the waveform adjoint is
-    replaced with fresh seeded noise on every backward pass, which is the
-    obfuscated-gradient signature: iterative attacks degenerate to a random
-    walk while a one-step attack still lands on a random full-budget corner.
-    """
-    rng = np.random.default_rng((scramble_seed, 0xC0DE))
-
-    def scramble(x: ad.Value) -> ad.Value:
-        return ad._node(x.data.copy(), "scrambled_identity",
-                        (x, lambda g: rng.normal(size=x.shape)))
-
-    def fn(xv: ad.Value, mode: str) -> ad.Value:
-        return forward_logits(params, scramble(xv), mode=mode)
-
-    return fn

@@ -2,9 +2,10 @@
 
 Architecture: a configurable stack of conv -> batchnorm -> relu blocks with
 max pooling after every alternate layer, global average pooling over time,
-and a final affine layer producing one logit per speaker. The front-end is
-part of the forward pass, so logits are differentiable all the way back to
-the raw waveform.
+and a final affine layer producing one logit per speaker. The convolutions
+carry no bias: batch norm subtracts each channel's mean, which would cancel
+it. The front-end is part of the forward pass, so logits are differentiable
+all the way back to the raw waveform.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from .autodiff import Value
 from .frontend import FrontendConfig, FrontendOps, log_mel
 from .util import ConfigError, check, from_json, to_json
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class SpeakerCNNConfig:
-    num_stacks: int = 8
     channels: tuple[int, ...] = (16, 16, 32, 32, 64, 64, 128, 128)
     kernel_size: int = 5
     pool_every: int = 2
@@ -32,23 +32,15 @@ class SpeakerCNNConfig:
     num_speakers: int = 251
 
     def __post_init__(self):
-        check([(len(self.channels) != self.num_stacks,
-                f"channels: has {len(self.channels)} entries for {self.num_stacks} stacks"),
-               (any(c < 1 for c in self.channels), "channels: must all be >= 1"),
+        check([(any(c < 1 for c in self.channels), "channels: must all be >= 1"),
                (self.kernel_size < 1, "kernel_size: must be >= 1"),
                (self.pool_every < 1, "pool_every: must be >= 1"),
                (self.pool_width < 2, "pool_width: must be >= 2"),
                (self.num_speakers < 2, "num_speakers: must be >= 2")])
 
-    @classmethod
-    def tiny(cls, num_speakers: int) -> "SpeakerCNNConfig":
-        """Two-stack preset used by tests and the desk-scale experiments."""
-        return cls(num_stacks=2, channels=(8, 8), kernel_size=5,
-                   pool_every=2, num_speakers=num_speakers)
-
     def pool_layers(self) -> tuple[int, ...]:
         """1-based indices of conv layers followed by a pooling stage."""
-        return tuple(i for i in range(1, self.num_stacks + 1) if i % self.pool_every == 0)
+        return tuple(i for i in range(1, len(self.channels) + 1) if i % self.pool_every == 0)
 
 
 @dataclass
@@ -90,7 +82,6 @@ def build(model_config: SpeakerCNNConfig, frontend_config: FrontendConfig,
     for i, c_out in enumerate(model_config.channels):
         fan_in = c_in * k
         arrays[f"conv{i}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c_out, c_in, k))
-        arrays[f"conv{i}.b"] = np.zeros(c_out)
         arrays[f"bn{i}.gamma"] = np.ones(c_out)
         arrays[f"bn{i}.beta"] = np.zeros(c_out)
         running[f"bn{i}.mean"] = np.zeros(c_out)
@@ -102,9 +93,6 @@ def build(model_config: SpeakerCNNConfig, frontend_config: FrontendConfig,
     return ModelParams(model_config, frontend_config, arrays, running, seed)
 
 
-_BN_MODE = {"train": "train", "attack": "batch", "eval": "eval"}
-
-
 def forward_logits(params: ModelParams, waveform_batch, mode: str = "eval",
                    param_values: dict[str, Value] | None = None) -> Value:
     """Unnormalized logits (n, num_speakers) for a batch of equal-length waveforms.
@@ -112,21 +100,17 @@ def forward_logits(params: ModelParams, waveform_batch, mode: str = "eval",
     mode "train" uses batch statistics and updates the running stats,
     "attack" uses batch statistics without updates (adversary generation
     inside the training loop), "eval" uses running statistics and is a
-    deterministic pure function.
+    deterministic pure function; ``autodiff.batchnorm`` rejects any other.
     """
-    if mode not in _BN_MODE:
-        raise ValueError(f"unknown mode {mode!r}")
     pv = param_values if param_values is not None else {
         name: Value(arr) for name, arr in params.arrays.items()
     }
     cfg = params.model_config
     pools = cfg.pool_layers()
     h = log_mel(waveform_batch, params.frontend_ops)
-    for i, c_out in enumerate(cfg.channels):
-        h = ad.conv1d(h, pv[f"conv{i}.w"]) + ad.reshape(pv[f"conv{i}.b"], (1, c_out, 1))
-        h = ad.batchnorm(h, pv[f"bn{i}.gamma"], pv[f"bn{i}.beta"],
-                         params.running[f"bn{i}.mean"], params.running[f"bn{i}.var"],
-                         mode=_BN_MODE[mode])
+    for i in range(len(cfg.channels)):
+        h = ad.batchnorm(ad.conv1d(h, pv[f"conv{i}.w"]), pv[f"bn{i}.gamma"], pv[f"bn{i}.beta"],
+                         params.running[f"bn{i}.mean"], params.running[f"bn{i}.var"], mode=mode)
         h = ad.relu(h)
         if i + 1 in pools:
             h = ad.maxpool1d(h, cfg.pool_width)
@@ -138,7 +122,7 @@ def min_input_samples(model_config: SpeakerCNNConfig, frontend_config: FrontendC
     """Smallest waveform length the forward pass accepts (receptive field)."""
     pools = model_config.pool_layers()
     frames = 1
-    for i in range(model_config.num_stacks, 0, -1):
+    for i in range(len(model_config.channels), 0, -1):
         if i in pools:
             frames = frames * model_config.pool_width
         frames = frames + model_config.kernel_size - 1

@@ -233,7 +233,8 @@ def fit(params: ModelParams, corpus: Corpus, config: TrainConfig, *, seed: int,
                 fh.write(json.dumps(payload, sort_keys=True) + "\n")
         if log_hook is not None:
             log_hook(record)
-        if config.checkpoint_every and epoch % config.checkpoint_every == 0:
+        if (config.checkpoint_every and epoch % config.checkpoint_every == 0
+                and epoch < config.epochs):  # the last epoch is saved below
             checkpoint(epoch)
     checkpoint(config.epochs)
     return records

@@ -46,7 +46,7 @@ BUILD_SEED = 1
 
 MICRO_FE = FrontendConfig(sample_rate=1600, window_length=32, hop_length=16,
                           fft_size=32, mel_bins=6, log_floor=1e-6)
-MICRO_CNN = mdl.SpeakerCNNConfig(num_stacks=2, channels=(4, 4), kernel_size=3,
+MICRO_CNN = mdl.SpeakerCNNConfig(channels=(4, 4), kernel_size=3,
                                  pool_every=2, num_speakers=3)
 
 
@@ -338,7 +338,7 @@ def test_criterion_9_reruns_reproduce_reports(tmp_path, desk_corpus, desk_models
                               fft_size=128, mel_bins=12)
 
     def run_once():
-        params = mdl.build(mdl.SpeakerCNNConfig(num_stacks=2, channels=(8, 8),
+        params = mdl.build(mdl.SpeakerCNNConfig(channels=(8, 8),
                                                 kernel_size=5, num_speakers=3),
                            micro_fe, seed=5)
         records = tr.fit(params, micro_corpus, micro_cfg, seed=9)

@@ -16,7 +16,7 @@ from advspeaker.frontend import FrontendConfig
 
 MICRO_FE = FrontendConfig(sample_rate=1600, window_length=32, hop_length=16,
                           fft_size=32, mel_bins=6, log_floor=1e-6)
-MICRO_CNN = mdl.SpeakerCNNConfig(num_stacks=2, channels=(4, 4), kernel_size=3,
+MICRO_CNN = mdl.SpeakerCNNConfig(channels=(4, 4), kernel_size=3,
                                  pool_every=2, num_speakers=3)
 
 

@@ -136,8 +136,10 @@ def test_batchnorm_train_updates_running_stats_but_batch_mode_does_not():
     x = ad.Value(rng.normal(size=(8, 3, 4)))
     g, b = ad.Value(np.ones(3)), ad.Value(np.zeros(3))
     rm, rv = np.zeros(3), np.ones(3)
-    ad.batchnorm(x, g, b, rm, rv, mode="batch")
+    ad.batchnorm(x, g, b, rm, rv, mode="attack")
     assert np.array_equal(rm, np.zeros(3)) and np.array_equal(rv, np.ones(3))
+    with pytest.raises(ValueError, match="unknown mode 'batch'"):
+        ad.batchnorm(x, g, b, rm, rv, mode="batch")
     ad.batchnorm(x, g, b, rm, rv, mode="train")
     mu = x.data.mean(axis=(0, 2))
     assert np.allclose(rm, 0.1 * mu)

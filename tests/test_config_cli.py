@@ -140,7 +140,7 @@ def _wrong_type(value):
 
 
 def test_every_preset_leaf_is_walked():
-    assert len(HAT_LEAVES) == 98
+    assert len(HAT_LEAVES) == 97
     assert "eval.scenarios[2].iterations" in {name for name, _, _ in HAT_LEAVES}
 
 
@@ -215,6 +215,8 @@ def _write_broken_checkpoint(path, broken):
         del payload["arr__fc.b"]
     elif broken == "array-shape":  # kernel 3 under meta kernel_size 5
         payload["arr__conv0.w"] = payload["arr__conv0.w"][..., :3]
+    elif broken == "v1":
+        meta["version"] = 1
     elif broken in ("no-seed", "no-corpus-fingerprint"):
         del meta[NAMED_KEY[broken]]
     text = {"meta-not-json": "not json", "meta-not-object": "[]"}.get(broken, json.dumps(meta))
@@ -225,14 +227,15 @@ def _write_broken_checkpoint(path, broken):
 # the key each broken checkpoint's error names, besides the checkpoint's path
 NAMED_KEY = {"no-kernel-size": "kernel_size", "no-seed": "seed",
              "no-corpus-fingerprint": "corpus_fingerprint",
-             "no-array": "arr__fc.b", "array-shape": "arr__conv0.w"}
+             "no-array": "arr__fc.b", "array-shape": "arr__conv0.w",
+             "v1": "unsupported checkpoint version 1"}
 
 
 @pytest.mark.parametrize("command, broken", [
     ("eval", "text"), ("attack", "text"), ("report", "text"),
     ("eval", "no-kernel-size"), ("eval", "meta-not-json"), ("eval", "meta-not-object"),
     ("eval", "no-seed"), ("eval", "no-corpus-fingerprint"), ("eval", "no-array"),
-    ("eval", "array-shape")])
+    ("eval", "array-shape"), ("eval", "v1")])
 def test_cli_unreadable_checkpoint_is_exit_4_naming_the_path(tmp_path, capsys, command,
                                                              broken):
     checkpoint = tmp_path / "broken.npz"
@@ -323,6 +326,18 @@ def test_cli_eval_refuses_mismatched_corpus(tmp_path, capsys, micro_checkpoints,
                                     ["drifted", drifted]]
     assert cli.main([command, "--config", write_config(tmp_path, raw)]) == cli.EXIT_CONFIG
     assert drifted in capsys.readouterr().err
+
+
+def test_attack_rerun_leaves_only_the_waveforms_it_lists(tmp_path, micro_checkpoints):
+    out = tmp_path / "out"
+    raw = micro_config_dict(out=str(out))
+    raw["eval"]["target_checkpoint"] = micro_checkpoints["target"]
+    raw["eval"]["scenarios"] = [{"kind": "fgsm"}]
+    path = write_config(tmp_path, raw)
+    for split in ("all", "test"):
+        assert cli.main(["attack", "--config", path, "--set", f"eval.split={split}"]) == 0
+    samples = json.loads((out / "snr_stats.json").read_text())["samples"]
+    assert sorted(p.name for p in (out / "adv").glob("*.wav")) == [s["file"] for s in samples]
 
 
 @pytest.mark.parametrize("scenario, code", [
@@ -782,9 +797,9 @@ def test_sweep_entries_record_the_spec_each_point_ran(tmp_path):
 # desk-eval set-up round-trips a checkpoint; these literals pin the bytes.
 
 PRESET_FINGERPRINTS = {
-    "desk-standard": "343e2632a7b3f819", "desk-fgsm-at": "67da71242e89e60d",
-    "desk-pgd-at": "65e823d3beb72ab6", "desk-fs-at": "c785401b472e072d",
-    "desk-hat": "8573182a6f012af6", "paper-hat": "a8f2a9223cad3cf6",
+    "desk-standard": "cb013c632b8baeab", "desk-fgsm-at": "cb88fffa2f2827b6",
+    "desk-pgd-at": "1057bc1de3e942b8", "desk-fs-at": "7365e97523a73a13",
+    "desk-hat": "1efc7ec38aaef718", "paper-hat": "0096e089626e9028",
 }
 
 
@@ -804,5 +819,5 @@ def test_serialized_bytes_are_pinned(tmp_path):
                         config_fingerprint="a", corpus_fingerprint="b", epoch=3)
     with np.load(path) as saved:
         meta_json = saved["meta_json"].tobytes()
-    assert hashlib.sha256(meta_json).hexdigest()[:16] == "653c1ad7c11a7159"
+    assert hashlib.sha256(meta_json).hexdigest()[:16] == "2c44483802552064"
     assert cfg.config_from_dict({}).fingerprint() == cfg.ExperimentConfig().fingerprint()

@@ -3,6 +3,7 @@ by the acceptance suite)."""
 
 import numpy as np
 import pytest
+from scrambled_gradient import scrambled_gradient_forward
 
 from advspeaker import data as dt
 from advspeaker import evaluate as ev
@@ -14,7 +15,7 @@ from advspeaker.losses import LossWeights
 
 MICRO_FE = FrontendConfig(sample_rate=4000, window_length=128, hop_length=64,
                           fft_size=128, mel_bins=12, log_floor=1e-6)
-MICRO_CNN = mdl.SpeakerCNNConfig(num_stacks=2, channels=(8, 8), kernel_size=5,
+MICRO_CNN = mdl.SpeakerCNNConfig(channels=(8, 8), kernel_size=5,
                                  pool_every=2, num_speakers=3)
 MICRO_SYNTH = dt.SynthConfig(num_speakers=3, utterances_per_speaker=10,
                              duration_s=0.2, sample_rate=4000, seed=31)
@@ -48,13 +49,14 @@ def test_untrained_models_sit_at_chance_level_on_average():
                            duration_s=0.2, sample_rate=4000, seed=37)
     balanced = dt.synth_corpus(synth)
     seeds = range(1000, 1010)
-    clean = [ev.accuracy_under_attack(mdl.build(mdl.SpeakerCNNConfig.tiny(10), MICRO_FE, s),
+    cnn = mdl.SpeakerCNNConfig(channels=(8, 8), kernel_size=5, num_speakers=10)
+    clean = [ev.accuracy_under_attack(mdl.build(cnn, MICRO_FE, s),
                                       balanced, None, batch_size=32, split="train")[0]
              for s in seeds]
     assert abs(np.mean(clean) - 100.0 / 10) <= 5.0
     fgsm = AttackSpec(LossWeights(1, 0, 0), 0.002, 0.002, 1, False)
     attacked = [ev.accuracy_under_attack(
-        mdl.build(mdl.SpeakerCNNConfig.tiny(10), MICRO_FE, s), balanced, fgsm,
+        mdl.build(cnn, MICRO_FE, s), balanced, fgsm,
         batch_size=32, split="train")[0] for s in seeds]
     assert abs(np.mean(attacked) - 100.0 / 10) <= 5.0
 
@@ -124,7 +126,7 @@ def test_masking_checks_structure_and_degenerate_source(corpus, trained):
 def test_scrambled_gradients_fail_the_iterative_check(corpus, trained):
     # the control leaves forward values intact but randomizes the waveform
     # adjoint; one-step attacks then beat iterative ones
-    scrambled = ev.scrambled_gradient_forward(trained, scramble_seed=5)
+    scrambled = scrambled_gradient_forward(trained, scramble_seed=5)
     checks = ev.masking_checks(trained, {}, corpus, epsilon=0.05, iterations=10,
                                batch_size=16, seed=9, split="all", attacker=scrambled)
     assert not checks.iterative_at_least_one_step

@@ -9,7 +9,7 @@ from advspeaker.frontend import FrontendConfig
 
 MICRO_FE = FrontendConfig(sample_rate=1600, window_length=32, hop_length=16,
                           fft_size=32, mel_bins=6, log_floor=1e-6)
-MICRO_CNN = mdl.SpeakerCNNConfig(num_stacks=2, channels=(4, 4), kernel_size=3,
+MICRO_CNN = mdl.SpeakerCNNConfig(channels=(4, 4), kernel_size=3,
                                  pool_every=2, num_speakers=3)
 
 
@@ -34,11 +34,20 @@ def test_default_config_has_four_pool_layers_and_251_outputs():
     assert params.arrays["fc.b"].shape == (251,)
 
 
+def test_conv_layers_carry_no_bias_since_batch_norm_cancels_it():
+    assert sorted(micro_params().arrays) == ["bn0.beta", "bn0.gamma", "bn1.beta", "bn1.gamma",
+                                             "conv0.w", "conv1.w", "fc.b", "fc.w"]
+    x = np.random.default_rng(2).normal(size=(6, 4, 9))
+    bias = np.arange(4.0).reshape(1, 4, 1)
+    for mode in ("train", "attack"):
+        plain, shifted = (ad.batchnorm(x + b, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4),
+                                       mode=mode).data for b in (0.0, bias))
+        assert np.allclose(plain, shifted, atol=1e-12)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
-        mdl.SpeakerCNNConfig(num_stacks=2, channels=(4,))
-    with pytest.raises(ValueError):
-        mdl.SpeakerCNNConfig(num_stacks=1, channels=(0,))
+        mdl.SpeakerCNNConfig(channels=(0,))
     with pytest.raises(ValueError):
         mdl.SpeakerCNNConfig(num_speakers=1)
 

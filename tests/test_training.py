@@ -1,6 +1,7 @@
 """Training loop tests on a micro synthetic setup."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from advspeaker.losses import LossWeights
 
 MICRO_FE = FrontendConfig(sample_rate=4000, window_length=128, hop_length=64,
                           fft_size=128, mel_bins=12, log_floor=1e-6)
-MICRO_CNN = mdl.SpeakerCNNConfig(num_stacks=2, channels=(8, 8), kernel_size=5,
+MICRO_CNN = mdl.SpeakerCNNConfig(channels=(8, 8), kernel_size=5,
                                  pool_every=2, num_speakers=3)
 MICRO_SYNTH = dt.SynthConfig(num_speakers=3, utterances_per_speaker=10,
                              duration_s=0.2, sample_rate=4000, seed=21)
@@ -183,6 +184,24 @@ def test_checkpoint_resume_matches_uninterrupted_run(micro_corpus, tmp_path):
         assert np.array_equal(straight.arrays[name], loaded.arrays[name]), name
     for name in straight.running:
         assert np.array_equal(straight.running[name], loaded.running[name]), name
+
+
+@pytest.mark.parametrize("checkpoint_every, start_epoch, saved", [
+    (1, 1, [1, 2]), (0, 1, [2]), (1, 3, [2])], ids=["every-epoch", "at-end", "resume-past-end"])
+def test_each_checkpoint_is_saved_once(micro_corpus, tmp_path, monkeypatch,
+                                       checkpoint_every, start_epoch, saved):
+    epochs = []
+    save = tr.save_checkpoint
+
+    def counting_save(path, params, **kwargs):
+        epochs.append(kwargs["epoch"])
+        save(path, params, **kwargs)
+
+    monkeypatch.setattr(tr, "save_checkpoint", counting_save)
+    config = replace(micro_train_config(epochs=2), checkpoint_every=checkpoint_every)
+    tr.fit(mdl.build(MICRO_CNN, MICRO_FE, seed=6), micro_corpus, config, seed=11,
+           out_dir=tmp_path, start_epoch=start_epoch)
+    assert epochs == saved
 
 
 def test_epoch_aborts_atomically_on_non_finite_loss(micro_corpus, monkeypatch):
