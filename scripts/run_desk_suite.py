@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Train all five desk-scale presets and render the defense comparison table.
 
-Roughly 25 minutes on a desktop CPU; artifacts land under runs/.
+Roughly 25 minutes on a desktop CPU; artifacts land under runs/, and the
+report config that built the table is kept as runs/comparison.json.
 
     python scripts/run_desk_suite.py [--epochs N] [--out-root runs]
 """
@@ -9,7 +10,6 @@ Roughly 25 minutes on a desktop CPU; artifacts land under runs/.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -46,11 +46,10 @@ def main() -> int:
     report_raw = json.loads((REPO / "configs" / "desk-hat.json").read_text())
     report_raw["output_dir"] = str(out_root / "comparison")
     report_raw["report"] = {"checkpoints": checkpoints}
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(report_raw, fh)
-        report_config = fh.name
+    report_config = out_root / "comparison.json"  # kept beside the table it produced
+    report_config.write_text(json.dumps(report_raw, indent=2) + "\n")
     print("=== comparison table ===")
-    return cli.main(["report", "--config", report_config])
+    return cli.main(["report", "--config", str(report_config)])
 
 
 if __name__ == "__main__":

@@ -1,29 +1,2 @@
 """Adversarial attacks and hybrid adversarial training for waveform
 speaker classification."""
-
-from .attacks import (AdversarialBatch, AttackSpec, cw_spec, fgsm_spec,
-                      fs_spec, generate, hybrid_spec, pgd_spec, snr_db)
-from .autodiff import Value, backward, finite_diff_check
-from .data import Corpus, SynthConfig, ingest, load_corpus, synth_corpus
-from .frontend import FrontendConfig, FrontendOps, log_mel
-from .losses import (LossWeights, SinkhornSettings, TransportPlan,
-                     TransportProblem, ce_loss, cosine_cost_matrix, fs_loss,
-                     hybrid_loss, margin_loss, sinkhorn_ot)
-from .model import (ModelParams, SpeakerCNNConfig, build, forward_logits,
-                    load_checkpoint, save_checkpoint)
-from .training import TrainConfig, fit, lr_at, sgd_momentum_update, train_epoch
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdversarialBatch", "AttackSpec", "Corpus", "FrontendConfig",
-    "FrontendOps", "LossWeights", "ModelParams", "SinkhornSettings",
-    "SpeakerCNNConfig", "SynthConfig", "TrainConfig", "TransportPlan",
-    "TransportProblem", "Value", "backward", "build", "ce_loss",
-    "cosine_cost_matrix", "cw_spec", "fgsm_spec", "finite_diff_check",
-    "fit", "forward_logits", "fs_loss", "fs_spec", "generate", "hybrid_loss",
-    "hybrid_spec", "ingest", "load_checkpoint", "load_corpus", "log_mel",
-    "lr_at", "margin_loss", "pgd_spec", "save_checkpoint",
-    "sgd_momentum_update", "sinkhorn_ot", "snr_db", "synth_corpus",
-    "train_epoch",
-]

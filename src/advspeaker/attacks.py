@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from . import model
 from .autodiff import NonFiniteError, Value
 from .losses import LossWeights, SinkhornSettings, hybrid_loss
 from .util import check
@@ -123,7 +124,7 @@ def spec_with(spec: AttackSpec, *, epsilon: float | None = None,
 class AdversarialBatch:
     x_adv: np.ndarray
     linf: float                # realized max-norm over the whole batch
-    snr_db: np.ndarray         # per-sample; +inf means clean (zero perturbation)
+    snr_db: np.ndarray         # per-sample; +inf clean, -inf a perturbed silent row
 
 
 def init_perturbation(x: np.ndarray, epsilon: float, random_init: bool,
@@ -149,16 +150,18 @@ def pgd_step(x_adv: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray
 
 
 def snr_db(x: np.ndarray, x_adv: np.ndarray) -> np.ndarray:
-    """Per-sample 10*log10(signal power / perturbation power); +inf if clean."""
+    """Per-sample 10*log10(signal power / perturbation power).
+
+    A row left unperturbed reads +inf; a perturbed silent row reads -inf.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     x_adv = np.atleast_2d(np.asarray(x_adv, dtype=np.float64))
     sig = (x ** 2).sum(axis=1)
-    if (sig == 0).any():
-        raise ValueError("snr_db: zero-power signal")
     noise = ((x_adv - x) ** 2).sum(axis=1)
     out = np.full(x.shape[0], np.inf)
     nz = noise > 0
-    out[nz] = 10.0 * np.log10(sig[nz] / noise[nz])
+    with np.errstate(divide="ignore"):
+        out[nz] = 10.0 * np.log10(sig[nz] / noise[nz])
     return out
 
 
@@ -203,11 +206,14 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
 
 
 def model_forward_fn(params) -> ForwardFn:
-    """Adapter binding ModelParams into the ForwardFn shape attacks expect."""
-    from .model import forward_logits
+    """Adapter binding ModelParams into the ForwardFn shape attacks expect.
+
+    ``forward_logits`` is looked up on ``model`` at each call, so a wrapper
+    set there (as the benchmark's tracer sets one) sees every attack forward.
+    """
 
     def fn(xv: Value, mode: str) -> Value:
-        return forward_logits(params, xv, mode=mode)
+        return model.forward_logits(params, xv, mode=mode)
 
     return fn
 

@@ -88,17 +88,6 @@ class Value:
 
     def sum(self, axis=None, keepdims=False): return reduce_sum(self, axis, keepdims)
     def mean(self, axis=None, keepdims=False): return reduce_mean(self, axis, keepdims)
-    def reshape(self, shape): return reshape(self, shape)
-    def relu(self): return relu(self)
-
-    @property
-    def T(self) -> "Value":
-        if self.ndim != 2:
-            raise ShapeError("permute", f"T is defined for 2-D values, got {self.shape}")
-        return permute(self, (1, 0))
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def as_value(x) -> Value:

@@ -29,7 +29,7 @@ from . import evaluate as ev
 from .attacks import ATTACKS, AttackSpec, attack_spec, model_forward_fn, spec_with
 from .autodiff import NonFiniteError
 from .config import ConfigError, ExperimentConfig, ScenarioSection, check, load_config, validate
-from .data import Corpus, ingest, load_corpus, save_manifest, synth_corpus, write_wav
+from .data import Corpus, ingest, save_manifest, synth_corpus, write_wav
 from .losses import LossWeights
 from .model import CheckpointError, build, load_checkpoint
 from .training import fit
@@ -72,8 +72,7 @@ class OutputLock:
 def build_corpus(config: ExperimentConfig) -> Corpus:
     if config.corpus.kind == "synthetic":
         return synth_corpus(config.corpus.synth_config())
-    manifest = ingest(config.corpus.root, split_seed=config.corpus.split_seed)
-    corpus = load_corpus(manifest)
+    corpus = ingest(config.corpus.root, split_seed=config.corpus.split_seed)
     check([(corpus.sample_rate != config.frontend.sample_rate,
             f"corpus sample rate {corpus.sample_rate} != frontend.sample_rate "
             f"{config.frontend.sample_rate}"),

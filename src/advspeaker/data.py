@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import ConfigError, check, fingerprint, from_json, rng_for, stable_int, to_json
+from .util import ConfigError, check, fingerprint, rng_for, stable_int, to_json
 
 
 class CorpusError(ConfigError):
@@ -28,7 +28,6 @@ class CorpusError(ConfigError):
 @dataclass
 class Utterance:
     samples: np.ndarray
-    sample_rate: int
     speaker_id: str
     split: str  # "train" | "test"
 
@@ -122,26 +121,28 @@ class CorpusManifest:
     rejects: list[str]
 
 
-def ingest(root, split_seed: int = 0) -> CorpusManifest:
-    """Scan a directory of per-speaker subdirectories of WAV files.
+def ingest(root, split_seed: int = 0) -> Corpus:
+    """Read a directory of per-speaker subdirectories of WAV files.
 
-    The per-speaker split permutation is derived from (split_seed,
-    speaker_id) only, so the manifest is stable across runs and machines.
-    Unreadable files are listed under rejects; a speaker left with fewer
-    than 2 usable utterances is fatal.
+    Each file is decoded once. The per-speaker split permutation is derived
+    from (split_seed, speaker_id) only, so the corpus and its manifest are
+    stable across runs and machines. Unreadable files and files at another
+    sample rate are listed under the manifest's rejects; a speaker left with
+    fewer than 2 usable utterances is fatal.
     """
     root = Path(root)
     if not root.is_dir():
         raise CorpusError(f"{root} is not a directory")
     rejects: list[str] = []
     entries: list[ManifestEntry] = []
+    waveforms: list[np.ndarray] = []
     sample_rate = None
     speaker_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not speaker_dirs:
         raise CorpusError(f"{root} contains no speaker directories")
     for spk_dir in speaker_dirs:
         speaker = spk_dir.name
-        usable: list[tuple[str, float]] = []
+        usable: list[tuple[str, np.ndarray]] = []
         for wav_path in sorted(spk_dir.glob("*.wav")):
             try:
                 samples, rate = read_wav(wav_path)
@@ -153,35 +154,29 @@ def ingest(root, split_seed: int = 0) -> CorpusManifest:
             elif rate != sample_rate:
                 rejects.append(f"{wav_path}: sample rate {rate} != corpus rate {sample_rate}")
                 continue
-            usable.append((str(wav_path), samples.size / rate))
+            usable.append((str(wav_path), samples))
         try:
             n_train, n_test = split_counts(len(usable))
         except CorpusError as exc:
             raise CorpusError(f"{spk_dir}: {exc}") from None
         perm = rng_for(split_seed, stable_int(speaker)).permutation(len(usable))
         test_positions = set(perm[:n_test].tolist())
-        for i, (path, duration) in enumerate(usable):
+        for i, (path, samples) in enumerate(usable):
             split = "test" if i in test_positions else "train"
-            entries.append(ManifestEntry(path, speaker, split, duration))
+            entries.append(ManifestEntry(path, speaker, split, samples.size / sample_rate))
+            waveforms.append(samples)
     digest = fingerprint([[e.path, e.speaker_id, e.split, round(e.duration_s, 6)]
                           for e in entries] + [["seed", split_seed]])
-    return CorpusManifest(entries=entries, num_speakers=len(speaker_dirs),
-                          sample_rate=int(sample_rate), fingerprint=digest,
-                          rejects=rejects)
+    manifest = CorpusManifest(entries=entries, num_speakers=len(speaker_dirs),
+                              sample_rate=int(sample_rate), fingerprint=digest,
+                              rejects=rejects)
+    utterances = [Utterance(samples, e.speaker_id, e.split)
+                  for e, samples in zip(entries, waveforms)]
+    return Corpus(utterances, manifest.sample_rate, digest, manifest)
 
 
 def save_manifest(path, manifest: CorpusManifest) -> None:
     Path(path).write_text(json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n")
-
-
-def load_manifest(path) -> CorpusManifest:
-    return from_json(CorpusManifest, json.loads(Path(path).read_text()))
-
-
-def load_corpus(manifest: CorpusManifest) -> Corpus:
-    utterances = [Utterance(read_wav(e.path)[0], manifest.sample_rate,
-                            e.speaker_id, e.split) for e in manifest.entries]
-    return Corpus(utterances, manifest.sample_rate, manifest.fingerprint, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ def synth_corpus(config: SynthConfig) -> Corpus:
             wave_sum += noise_rms * rng.normal(size=n_samples)
             samples = np.clip(wave_sum, -1.0, 1.0)
             split = "train" if u < n_train else "test"
-            utterances.append(Utterance(samples, config.sample_rate, speaker, split))
+            utterances.append(Utterance(samples, speaker, split))
 
     digest = fingerprint({"kind": "synthetic", **to_json(config)})
     return Corpus(utterances, config.sample_rate, digest)

@@ -11,7 +11,9 @@ all the way back to the raw waveform.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -156,7 +158,17 @@ def save_checkpoint(path, params: ModelParams, *, config_fingerprint: str = "",
     if velocity is not None:
         payload.update({f"vel__{k}": v for k, v in velocity.items()})
     payload["meta_json"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **payload)
+    # written beside the target and renamed onto it, so a reader or a killed
+    # run never meets a half-written archive and the previous one survives
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("wb") as fh:
+            np.savez(fh, **payload)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:

@@ -1,6 +1,7 @@
 """Attack-family tests: projection invariants, specializations, SNR."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -220,9 +221,15 @@ def test_snr_clean_sentinel_and_constant_perturbation():
     assert abs(got - 53.9794) < 1e-3
 
 
-def test_snr_rejects_zero_signal():
-    with pytest.raises(ValueError):
-        atk.snr_db(np.zeros((1, 4)), np.ones((1, 4)))
+def test_snr_of_a_silent_row_is_minus_inf_once_perturbed():
+    x = np.zeros((3, 4))
+    x[2] = 0.5
+    x_adv = x.copy()
+    x_adv[0] = 0.001
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = atk.snr_db(x, x_adv)
+    assert got.tolist() == [-np.inf, np.inf, np.inf]
 
 
 @settings(max_examples=25, deadline=None)

@@ -482,7 +482,7 @@ def assert_cells_match_row_reports(out_dir, row_names):
         assert [float(c) for c in cells] == [entries[c] for c in columns], name
 
 
-def wav_dir_config(tmp_path):
+def wav_dir_config(tmp_path, defense="standard"):
     """A one-epoch micro config on a directory of 3 speakers x 4 WAV files."""
     from advspeaker.data import write_wav
     rng = np.random.default_rng(2)
@@ -492,7 +492,7 @@ def wav_dir_config(tmp_path):
         d.mkdir(parents=True)
         for i in range(4):
             write_wav(d / f"u{i}.wav", rng.normal(size=800) * 0.1, 4000)
-    raw = micro_config_dict(out=str(tmp_path / "run"))
+    raw = micro_config_dict(defense=defense, out=str(tmp_path / "run"))
     raw["corpus"] = {"kind": "wav_dir", "root": str(wav_root), "split_seed": 1}
     raw["train"]["epochs"] = 1
     return raw
@@ -505,6 +505,46 @@ def test_cli_train_on_wav_dir_persists_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["num_speakers"] == 3
     assert len(manifest["entries"]) == 12
+
+
+def test_a_wav_corpus_is_read_in_one_pass(tmp_path, monkeypatch):
+    from advspeaker import data as dt
+    raw = wav_dir_config(tmp_path)
+    wav_root = tmp_path / "corpus"
+    (wav_root / "s1" / "broken.wav").write_bytes(b"not a wav file")
+    read = []
+    real_read_wav = dt.read_wav
+
+    def counting_read_wav(path):
+        read.append(str(path))
+        return real_read_wav(path)
+
+    monkeypatch.setattr(dt, "read_wav", counting_read_wav)
+    corpus = cli.build_corpus(cfg.config_from_dict(raw))
+    assert sorted(read) == sorted(str(p) for p in wav_root.glob("*/*.wav"))
+    assert len(corpus.utterances) == 12
+
+
+def test_a_silent_wav_is_trained_on_evaluated_and_attacked(tmp_path):
+    from advspeaker.data import ingest, write_wav
+    raw = wav_dir_config(tmp_path, defense="pgd_at")
+    run = Path(raw["output_dir"])
+    raw["eval"].update(target_checkpoint=str(run / "checkpoint.npz"), split="all",
+                       scenarios=[{"kind": "clean"}, {"kind": "pgd", "iterations": 2}])
+    corpus = ingest(raw["corpus"]["root"], split_seed=raw["corpus"]["split_seed"])
+    silent = next(e for e in corpus.manifest.entries if e.split == "train")
+    write_wav(silent.path, np.zeros(800), 4000)
+    path = write_config(tmp_path, raw)
+
+    assert cli.main(["train", "--config", path]) == cli.EXIT_OK
+    assert cli.main(["eval", "--config", path, "--out", str(tmp_path / "eval")]) == cli.EXIT_OK
+    lines = (tmp_path / "eval" / "report.jsonl").read_text().splitlines()
+    entries = {e["name"]: e for e in map(json.loads, lines[1:])}
+    assert np.isfinite(entries["pgd2"]["snr_mean_db"])
+    assert cli.main(["attack", "--config", path, "--out", str(tmp_path / "attack")]) == cli.EXIT_OK
+    samples = json.loads((tmp_path / "attack" / "snr_stats.json").read_text())["samples"]
+    assert len(samples) == 12
+    assert sum(s["snr_db"] is None for s in samples) == 1
 
 
 def test_wav_dir_speaker_with_too_few_wavs_is_named(tmp_path, capsys):

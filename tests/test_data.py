@@ -1,5 +1,7 @@
 """Corpus, split, batching, and WAV round-trip tests."""
 
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -44,8 +46,8 @@ def _make_tree(tmp_path, per_speaker):
 
 def test_ingest_split_and_determinism(tmp_path):
     root = _make_tree(tmp_path, {"alice": 10, "bob": 2, "carol": 5})
-    m1 = dt.ingest(root, split_seed=3)
-    m2 = dt.ingest(root, split_seed=3)
+    m1 = dt.ingest(root, split_seed=3).manifest
+    m2 = dt.ingest(root, split_seed=3).manifest
     assert m1.fingerprint == m2.fingerprint
     assert m1.num_speakers == 3
     by_speaker = {}
@@ -54,7 +56,7 @@ def test_ingest_split_and_determinism(tmp_path):
     assert sorted(by_speaker["alice"]).count("test") == 1
     assert sorted(by_speaker["bob"]) == ["test", "train"]
     assert sorted(by_speaker["carol"]).count("test") == 1
-    m3 = dt.ingest(root, split_seed=4)
+    m3 = dt.ingest(root, split_seed=4).manifest
     assert m3.fingerprint != m1.fingerprint
 
 
@@ -62,7 +64,7 @@ def test_ingest_rejects_corrupt_but_fails_on_tiny_speaker(tmp_path):
     root = _make_tree(tmp_path, {"alice": 3, "bob": 2})
     bad = root / "alice" / "broken.wav"
     bad.write_bytes(b"not a wav file")
-    manifest = dt.ingest(root)
+    manifest = dt.ingest(root).manifest
     assert any("broken.wav" in r for r in manifest.rejects)
     assert sum(e.speaker_id == "alice" for e in manifest.entries) == 3
 
@@ -77,16 +79,59 @@ def test_ingest_rejects_corrupt_but_fails_on_tiny_speaker(tmp_path):
 
 def test_load_corpus_round_trip(tmp_path):
     root = _make_tree(tmp_path, {"alice": 4, "bob": 4})
-    manifest = dt.ingest(root)
-    corpus = dt.load_corpus(manifest)
+    corpus = dt.ingest(root)
     assert corpus.num_speakers == 2
-    assert corpus.fingerprint == manifest.fingerprint
+    assert corpus.fingerprint == corpus.manifest.fingerprint
     assert len(corpus.items("train")) + len(corpus.items("test")) == 8
+    for utterance, entry in zip(corpus.utterances, corpus.manifest.entries, strict=True):
+        assert (utterance.speaker_id, utterance.split) == (entry.speaker_id, entry.split)
+        assert np.array_equal(utterance.samples, dt.read_wav(entry.path)[0])
+
+
+def _pinned_tree(root):
+    """Three speakers of varied-length 8 kHz WAVs, one corrupt file and one
+    file at another sample rate."""
+    rng = np.random.default_rng(11)
+    for spk, count in (("alice", 5), ("bob", 3), ("carol", 4)):
+        d = root / spk
+        d.mkdir(parents=True)
+        for i in range(count):
+            dt.write_wav(d / f"utt{i:02d}.wav", rng.normal(size=600 + 37 * i) * 0.1, 8000)
+    (root / "bob" / "broken.wav").write_bytes(b"RIFF not really")
+    dt.write_wav(root / "carol" / "wide.wav", rng.normal(size=900) * 0.1, 16000)
+
+
+def _utterance_digest(corpus):
+    """Digest of each utterance's order, speaker, label, split and samples."""
+    h = hashlib.sha256()
+    for u in corpus.utterances:
+        h.update(f"{u.speaker_id}|{corpus.label(u.speaker_id)}|{u.split}|".encode())
+        h.update(u.samples.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_ingest_of_a_pinned_tree_is_bit_exact(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the manifest independent of tmp_path
+    _pinned_tree(tmp_path / "corpus")
+    corpus = dt.ingest("corpus", split_seed=3)
+    dt.save_manifest("manifest.json", corpus.manifest)
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()[:16]
+    assert digest == "c2ff57e387226076"
+    assert corpus.fingerprint == "3c4c2b2524d51b7a"
+    assert corpus.sample_rate == 8000
+    assert corpus.manifest.rejects == [
+        "corpus/bob/broken.wav: not a WAVE file",
+        "corpus/carol/wide.wav: sample rate 16000 != corpus rate 8000"]
+    assert [(u.speaker_id, u.split) for u in corpus.utterances] == [
+        ("alice", "train"), ("alice", "test"), ("alice", "train"), ("alice", "train"),
+        ("alice", "train"), ("bob", "train"), ("bob", "train"), ("bob", "test"),
+        ("carol", "test"), ("carol", "train"), ("carol", "train"), ("carol", "train")]
+    assert _utterance_digest(corpus) == "7e68c487c5cad66a"
 
 
 def test_manifest_dict_round_trip(tmp_path):
     root = _make_tree(tmp_path, {"alice": 4, "bob": 4})
-    manifest = dt.ingest(root)
+    manifest = dt.ingest(root).manifest
     clone = from_json(dt.CorpusManifest, to_json(manifest))
     assert clone.fingerprint == manifest.fingerprint
     assert [vars(e) for e in clone.entries] == [vars(e) for e in manifest.entries]
@@ -94,10 +139,10 @@ def test_manifest_dict_round_trip(tmp_path):
 
 def test_manifest_file_round_trip(tmp_path):
     root = _make_tree(tmp_path, {"alice": 4, "bob": 4})
-    manifest = dt.ingest(root)
+    manifest = dt.ingest(root).manifest
     path = tmp_path / "manifest.json"
     dt.save_manifest(path, manifest)
-    loaded = dt.load_manifest(path)
+    loaded = from_json(dt.CorpusManifest, json.loads(path.read_text()))
     assert loaded.fingerprint == manifest.fingerprint
     assert loaded.num_speakers == manifest.num_speakers
     assert [vars(e) for e in loaded.entries] == [vars(e) for e in manifest.entries]
@@ -189,7 +234,7 @@ def test_batch_iter_eval_deterministic_and_train_shuffles_differ():
 
 
 def test_short_utterances_zero_padded():
-    utts = [dt.Utterance(np.full(50, 0.5), 8000, s, sp)
+    utts = [dt.Utterance(np.full(50, 0.5), s, sp)
             for s in ("a", "b") for sp in ("train", "test")]
     corpus = dt.Corpus(utts, 8000, "fp")
     waves, _ = next(dt.batch_iter(corpus, 4, 80, seed=0))

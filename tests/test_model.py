@@ -1,5 +1,7 @@
 """Speaker CNN tests on micro configurations."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,44 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     x = np.random.default_rng(10).normal(size=(2, 128)) * 0.1
     assert np.array_equal(mdl.forward_logits(params, x).data,
                           mdl.forward_logits(loaded, x).data)
+
+
+def test_a_save_that_fails_part_way_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.npz"
+    params = micro_params(9)
+    mdl.save_checkpoint(path, params, epoch=1)
+    saved = path.read_bytes()
+    real_write_array = np.lib.format.write_array
+    written = []
+
+    def write_array_then_fail(*args, **kwargs):
+        written.append(1)
+        if len(written) == 3:
+            raise OSError("no space left on device")
+        return real_write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", write_array_then_fail)
+    with pytest.raises(OSError, match="no space left"):
+        mdl.save_checkpoint(path, micro_params(10), epoch=2)
+    monkeypatch.undo()
+    assert len(written) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.npz"]
+    assert path.read_bytes() == saved
+    loaded, meta = mdl.load_checkpoint(path)
+    assert meta["epoch"] == 1
+    for name in params.arrays:
+        assert np.array_equal(loaded.arrays[name], params.arrays[name])
+
+
+def test_a_save_writes_what_savez_writes_to_the_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: 1.7e9)  # zip entries carry the write time
+    path = tmp_path / "checkpoint.npz"
+    mdl.save_checkpoint(path, micro_params(9), epoch=1)
+    with np.load(path) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    direct = tmp_path / "direct.npz"
+    np.savez(direct, **payload)
+    assert path.read_bytes() == direct.read_bytes()
 
 
 def test_load_rejects_non_checkpoint(tmp_path):
