@@ -146,7 +146,11 @@ def pgd_step(x_adv: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray
                                         f"{hi.shape} differ")
     if not np.isfinite(grad).all():
         raise NonFiniteError("pgd_step: non-finite gradient")
-    return np.clip(x_adv + alpha * np.sign(grad), lo, hi)
+    # np.clip(x_adv + alpha * np.sign(grad), lo, hi), without temporaries
+    step = np.sign(grad)
+    step *= alpha
+    step += x_adv
+    return np.clip(step, lo, hi, out=step)
 
 
 def snr_db(x: np.ndarray, x_adv: np.ndarray) -> np.ndarray:

@@ -72,11 +72,9 @@ class OutputLock:
 def build_corpus(config: ExperimentConfig) -> Corpus:
     if config.corpus.kind == "synthetic":
         return synth_corpus(config.corpus.synth_config())
-    corpus = ingest(config.corpus.root, split_seed=config.corpus.split_seed)
-    check([(corpus.sample_rate != config.frontend.sample_rate,
-            f"corpus sample rate {corpus.sample_rate} != frontend.sample_rate "
-            f"{config.frontend.sample_rate}"),
-           (corpus.num_speakers != config.model.num_speakers,
+    corpus = ingest(config.corpus.root, config.frontend.sample_rate,
+                    split_seed=config.corpus.split_seed)
+    check([(corpus.num_speakers != config.model.num_speakers,
             f"corpus has {corpus.num_speakers} speakers != model.num_speakers "
             f"{config.model.num_speakers}")])
     return corpus

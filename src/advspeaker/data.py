@@ -121,14 +121,15 @@ class CorpusManifest:
     rejects: list[str]
 
 
-def ingest(root, split_seed: int = 0) -> Corpus:
+def ingest(root, sample_rate: int, split_seed: int = 0) -> Corpus:
     """Read a directory of per-speaker subdirectories of WAV files.
 
     Each file is decoded once. The per-speaker split permutation is derived
     from (split_seed, speaker_id) only, so the corpus and its manifest are
-    stable across runs and machines. Unreadable files and files at another
-    sample rate are listed under the manifest's rejects; a speaker left with
-    fewer than 2 usable utterances is fatal.
+    stable across runs and machines. Unreadable files, files without audio
+    frames and files at a rate other than ``sample_rate`` are listed under
+    the manifest's rejects; a speaker left with fewer than 2 usable
+    utterances is fatal, and its error names what was rejected.
     """
     root = Path(root)
     if not root.is_dir():
@@ -136,29 +137,33 @@ def ingest(root, split_seed: int = 0) -> Corpus:
     rejects: list[str] = []
     entries: list[ManifestEntry] = []
     waveforms: list[np.ndarray] = []
-    sample_rate = None
     speaker_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not speaker_dirs:
         raise CorpusError(f"{root} contains no speaker directories")
     for spk_dir in speaker_dirs:
         speaker = spk_dir.name
         usable: list[tuple[str, np.ndarray]] = []
+        first_reject = len(rejects)
         for wav_path in sorted(spk_dir.glob("*.wav")):
             try:
                 samples, rate = read_wav(wav_path)
             except (CorpusError, wave.Error, EOFError, struct.error) as exc:
                 rejects.append(f"{wav_path}: {exc}")
                 continue
-            if sample_rate is None:
-                sample_rate = rate
-            elif rate != sample_rate:
+            if samples.size == 0:
+                rejects.append(f"{wav_path}: no audio frames")
+                continue
+            if rate != sample_rate:
                 rejects.append(f"{wav_path}: sample rate {rate} != corpus rate {sample_rate}")
                 continue
             usable.append((str(wav_path), samples))
         try:
             n_train, n_test = split_counts(len(usable))
         except CorpusError as exc:
-            raise CorpusError(f"{spk_dir}: {exc}") from None
+            dropped = rejects[first_reject:]
+            raise CorpusError(f"{spk_dir}: {exc}" + (
+                f" ({len(dropped)} file(s) rejected, the first {dropped[0]})"
+                if dropped else "")) from None
         perm = rng_for(split_seed, stable_int(speaker)).permutation(len(usable))
         test_positions = set(perm[:n_test].tolist())
         for i, (path, samples) in enumerate(usable):

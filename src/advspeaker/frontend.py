@@ -112,10 +112,11 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
         # left out; every other step repeats the chain's arithmetic
         g = g.transpose(0, 2, 1).reshape(n * n_frames, cfg.mel_bins)
         g_power = ((g / clamped) * keep) @ ops._fb_t.T
+        # the chain doubles g*re and g*im; doubling g first is exact, so the
+        # products match it bit for bit (outside the subnormal range)
+        g_power += g_power
         g_re = g_power * re
-        g_re += g_re
         g_im = np.multiply(g_power, im, out=g_power)
-        g_im += g_im
         g_frames = (g_re @ ops.dft_cos.T).reshape(n, n_frames, cfg.window_length)
         g_frames += (g_im @ ops.dft_sin.T).reshape(n, n_frames, cfg.window_length)
         g_frames *= ops.window

@@ -32,6 +32,9 @@ from .util import check
 MAX_COST_RATIO = 700.0
 # cosine costs reach 2, and 2 / 0.003 ≈ 667 stays under MAX_COST_RATIO
 MIN_REGULARIZATION = 0.003
+# Sinkhorn iterates scaled between two stopping tests; the test of a block
+# picks its first passing iterate, so the block size changes no result
+SINKHORN_BLOCK = 10
 
 
 class SinkhornConvergenceWarning(RuntimeWarning):
@@ -101,7 +104,10 @@ class TransportPlan:
     converged: bool
     iterations: int
     marginal_error: float       # marginal error of the final (rounded) plan
-    scaling_residual: float = 0.0  # marginal error when the scaling loop stopped
+    # row-marginal error when the scaling loop stopped; the columns then fit
+    # to within rounding, so it differs from the larger of both errors only
+    # once the row error is itself at rounding level
+    scaling_residual: float = 0.0
 
 
 def ce_loss(logits, labels) -> Value:
@@ -176,8 +182,13 @@ def sinkhorn_ot(problem: TransportProblem, max_iters: int = 1000,
     marginals, starting from v = 1. These are the iterates of the
     log-domain form with u = exp(f / lambda) and v = exp(g / lambda); the
     kernel stays finite by the range rule ``TransportProblem`` enforces.
-    The loop runs until the marginal error drops below ``tolerance``
-    or the budget is spent; the plan is then rounded onto exact marginals.
+    The loop stops at the first iterate whose row-marginal error is below
+    ``tolerance``, or when the budget is spent; the plan is then rounded
+    onto exact marginals. Right after the v update the columns fit to within
+    rounding, so only the rows are tested. Iterates are scaled in blocks of
+    SINKHORN_BLOCK and a block's row errors are tested together; the first
+    passing one is the iterate a test after every iteration stops at, even
+    where the error is not monotone.
     The returned plan is a plain array; when the cost is a Value the
     distance is the differentiable <plan, cost> with the plan held
     constant. A loop that did not reach tolerance is reported via
@@ -188,17 +199,26 @@ def sinkhorn_ot(problem: TransportProblem, max_iters: int = 1000,
     cost = problem.cost.data if cost_value is not None else np.asarray(problem.cost, dtype=np.float64)
     mu, nu = problem.mu, problem.nu
     kernel = np.exp(-cost / problem.regularization)
-    v = np.ones_like(nu)
-    kv = kernel @ v
-    for it in range(1, max_iters + 1):
-        u = mu / kv
-        ktu = u @ kernel
-        v = nu / ktu
-        kv = kernel @ v
-        # row sums of diag(u) K diag(v) are u * kv, column sums v * ktu
-        err = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
-        if err < tolerance:
+    us = np.empty((SINKHORN_BLOCK, mu.size))
+    kvs = np.empty_like(us)
+    vs = np.empty((SINKHORN_BLOCK, nu.size))
+    ktu = np.empty_like(nu)
+    kv = kernel @ np.ones_like(nu)
+    for start in range(0, max_iters, SINKHORN_BLOCK):
+        size = min(SINKHORN_BLOCK, max_iters - start)
+        # ndarray.dot into a positional output runs the same BLAS gemv as @,
+        # for a third of the call overhead
+        for i in range(size):
+            u = np.divide(mu, kv, us[i])
+            v = np.divide(nu, u.dot(kernel, ktu), vs[i])
+            kv = kernel.dot(v, kvs[i])
+        # row sums of diag(u) K diag(v) are u * kv: every iterate's row error in one pass
+        errs = np.abs(us[:size] * kvs[:size] - mu).max(axis=1)
+        passed = np.flatnonzero(errs < tolerance)
+        if passed.size:
             break
+    last = int(passed[0]) if passed.size else size - 1
+    u, v, err = us[last], vs[last], errs[last]
     converged = bool(err < tolerance)
     plan = _round_to_feasible(u[:, None] * kernel * v[None, :], mu, nu)
     final_err = max(np.abs(plan.sum(axis=1) - mu).max(),
@@ -208,7 +228,7 @@ def sinkhorn_ot(problem: TransportProblem, max_iters: int = 1000,
     else:
         distance = float((plan * cost).sum())
     return TransportPlan(plan=plan, distance=distance, converged=converged,
-                         iterations=it, marginal_error=float(final_err),
+                         iterations=start + last + 1, marginal_error=float(final_err),
                          scaling_residual=float(err))
 
 

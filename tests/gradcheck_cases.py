@@ -1,11 +1,59 @@
 """Shared per-primitive gradient-check battery (used by the unit suite
-and the acceptance gate)."""
+and the acceptance gate): the central-difference oracle, the engine's
+primitives it must cover, and one case per primitive."""
 
 import numpy as np
 
 from advspeaker import autodiff as ad
+from advspeaker.autodiff import NonFiniteError, Value
 from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel
-from log_mel_chain import clamp, frame_signal, log
+from log_mel_chain import clamp, frame_signal, log, reshape
+
+# The differentiable primitives ``advspeaker.autodiff`` provides; each has
+# an adjoint rule and needs a case below.
+OPSET = (
+    "add", "sub", "neg", "mul", "div", "pow", "matmul",
+    "conv1d", "maxpool1d", "relu", "batchnorm",
+    "logsumexp",
+    "sum", "mean", "amax",
+    "gather_rows", "permute",
+    "l2_norm", "affine",
+)
+
+
+def finite_diff_check(loss_fn, point: np.ndarray, step: float = 1e-5,
+                      floor: float = 1e-6) -> float:
+    """Max relative gap between analytic and central-difference gradients.
+
+    Per coordinate: |analytic - fd| / (|fd| + floor), fd the central
+    difference with the given step. Raises NonFiniteError if any
+    evaluation is non-finite.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    point = np.asarray(point, dtype=np.float64)
+    x = Value(point, requires_grad=True)
+    loss = loss_fn(x)
+    if loss.data.size != 1:
+        raise ad.ShapeError("finite_diff_check", f"loss must be scalar, got {loss.shape}")
+    if not np.isfinite(loss.data).all():
+        raise NonFiniteError("loss is non-finite at the evaluation point")
+    ad.backward(loss)
+    analytic = x.grad.copy() if x.grad is not None else np.zeros_like(point)
+
+    flat = point.reshape(-1)
+    fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] += step
+        hi = float(loss_fn(Value(bumped.reshape(point.shape))).data)
+        bumped[i] -= 2 * step
+        lo = float(loss_fn(Value(bumped.reshape(point.shape))).data)
+        fd[i] = (hi - lo) / (2 * step)
+    if not np.isfinite(fd).all() or not np.isfinite(analytic).all():
+        raise NonFiniteError("non-finite values in gradient evaluation")
+    rel = np.abs(analytic.reshape(-1) - fd) / (np.abs(fd) + floor)
+    return float(rel.max()) if rel.size else 0.0
 
 
 def rng_for(seed):
@@ -158,7 +206,7 @@ def _case_frame_signal(rng):
 
 @_register("reshape")
 def _case_reshape(rng):
-    return lambda x: (ad.reshape(x, (2, 6)) ** 2.0).sum(), rng.normal(size=(3, 4))
+    return lambda x: (reshape(x, (2, 6)) ** 2.0).sum(), rng.normal(size=(3, 4))
 
 
 @_register("permute")
@@ -190,6 +238,6 @@ def _case_log_mel(rng):
 
     def loss(x):
         floored = (log_mel(x * row_scale, _LOG_MEL_OPS) * w2d).sum()
-        return floored + (log_mel(ad.reshape(x, (48,)), _LOG_MEL_OPS) * w1d).sum()
+        return floored + (log_mel(reshape(x, (48,)), _LOG_MEL_OPS) * w1d).sum()
 
     return loss, rng.normal(size=(2, 24))

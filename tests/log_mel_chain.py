@@ -2,8 +2,9 @@
 
 This is the composition that ``frontend.log_mel`` fuses into one node. It
 is kept as a test oracle: the fused primitive must reproduce its values
-and its waveform gradients bit for bit. The three primitives only the
-chain uses, ``frame_signal``, ``clamp`` and ``log``, live here with it.
+and its waveform gradients bit for bit. The four primitives only the
+chain uses, ``frame_signal``, ``clamp``, ``log`` and ``reshape``, live
+here with it.
 """
 
 import numpy as np
@@ -43,20 +44,30 @@ def log(a) -> Value:
     return ad._node(np.log(a.data), "log", (a, lambda g: g / a.data))
 
 
+def reshape(a, shape) -> Value:
+    a = ad.as_value(a)
+    shape = tuple(int(s) for s in shape)
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise ad.ShapeError("reshape", f"cannot reshape {a.shape} to {shape}") from None
+    return ad._node(data, "reshape", (a, lambda g: g.reshape(a.shape)))
+
+
 def log_mel_chain(waveform, ops: FrontendOps) -> Value:
     cfg = ops.config
     x = ad.as_value(waveform)
     if x.ndim == 1:
-        x = ad.reshape(x, (1, x.shape[0]))
+        x = reshape(x, (1, x.shape[0]))
     n = x.shape[0]
     frames = frame_signal(x, cfg.window_length, cfg.hop_length)
     n_frames = frames.shape[1]
     frames = frames * Value(ops.window)
-    flat = ad.reshape(frames, (n * n_frames, cfg.window_length))
+    flat = reshape(frames, (n * n_frames, cfg.window_length))
     re = ad.matmul(flat, Value(ops.dft_cos))
     im = ad.matmul(flat, Value(ops.dft_sin))
     power = re * re + im * im
     mel = ad.matmul(power, Value(ops._fb_t))
     out = log(clamp(mel, lo=cfg.log_floor))
-    out = ad.reshape(out, (n, n_frames, cfg.mel_bins))
+    out = reshape(out, (n, n_frames, cfg.mel_bins))
     return ad.permute(out, (0, 2, 1))

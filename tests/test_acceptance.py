@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fgsm_direct import fgsm_direct
-from gradcheck_cases import PRIMITIVE_CASES
+from gradcheck_cases import PRIMITIVE_CASES, finite_diff_check
 from advspeaker.util import stable_int
 
 from advspeaker import autodiff as ad
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_correctness():
     for name, case in sorted(PRIMITIVE_CASES.items()):
         for point_index in range(20):
             loss_fn, point = case(np.random.default_rng((stable_int(name) % 1000, point_index)))
-            err = ad.finite_diff_check(loss_fn, point)
+            err = finite_diff_check(loss_fn, point)
             worst_primitive = max(worst_primitive, err)
             assert err < 1e-6, f"{name} point {point_index}: {err}"
 
@@ -109,7 +109,7 @@ def test_criterion_1_gradient_correctness():
             log_probs = logits - ad.logsumexp(logits, axis=1, keepdims=True)
             return -ad.gather_rows(log_probs, labels).mean()
 
-        err = ad.finite_diff_check(ce_from_waveform, x)
+        err = finite_diff_check(ce_from_waveform, x)
         worst_e2e = max(worst_e2e, err)
     elapsed = time.monotonic() - started
     criterion(1, "primitive and end-to-end gradients match finite differences",

@@ -100,6 +100,20 @@ def test_pgd_step_one_clip_bit_equals_the_ball_clip_then_the_range_clip():
     assert np.array_equal(atk.pgd_step(x_adv, grad, *ball(x, 0.01), alpha=0.004), two_clips)
 
 
+def test_pgd_step_bit_equals_the_clip_of_the_signed_step():
+    rng = np.random.default_rng(21)
+    x = np.clip(rng.normal(size=(4, 300)) * 0.6, -1, 1)
+    x[0, :40], x[1, :40] = 1.0, -1.0  # the waveform range cuts the ball
+    x_adv = x + rng.uniform(-0.02, 0.02, size=x.shape)  # some of it outside the ball
+    grad = rng.normal(size=x.shape)
+    grad[2, ::3], grad[3, ::5] = 0.0, -0.0
+    lo, hi = ball(x, 0.01)
+    before = x_adv.copy()
+    out = atk.pgd_step(x_adv, grad, lo, hi, alpha=0.004)
+    assert out.tobytes() == np.clip(x_adv + 0.004 * np.sign(grad), lo, hi).tobytes()
+    assert x_adv.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("outside", [1.5, -1.0000001, np.nan])
 def test_generate_rejects_a_clean_batch_outside_the_waveform_range(outside):
     x = np.zeros((1, 5))

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advspeaker import autodiff as ad
-from log_mel_chain import log
+from advspeaker.util import stable_int
+from gradcheck_cases import OPSET, PRIMITIVE_CASES, finite_diff_check
+from log_mel_chain import log, reshape
 
 
 def rng_for(seed):
@@ -38,16 +40,16 @@ def test_log_softmax_gradient_matches_probability_identity():
     z = rng.normal(size=5)
     k = 2
     v = ad.Value(z, requires_grad=True)
-    row = ad.reshape(v, (1, 5))
+    row = reshape(v, (1, 5))
     loss = ad.gather_rows(row - ad.logsumexp(row, axis=1, keepdims=True), [k]).sum()
     ad.backward(loss)
     expected = -(np.exp(z) / np.exp(z).sum())
     expected[k] += 1.0
     assert np.allclose(v.grad, expected, atol=1e-12)
     # same thing via the finite-difference oracle
-    err = ad.finite_diff_check(
+    err = finite_diff_check(
         lambda x: ad.gather_rows(
-            ad.reshape(x, (1, 5)) - ad.logsumexp(ad.reshape(x, (1, 5)), axis=1, keepdims=True), [k]
+            reshape(x, (1, 5)) - ad.logsumexp(reshape(x, (1, 5)), axis=1, keepdims=True), [k]
         ).sum(),
         z,
     )
@@ -77,12 +79,12 @@ def test_shape_mismatch_names_operation():
 def test_finite_diff_quadratic_is_tight():
     rng = rng_for(1)
     point = rng.normal(size=6)
-    err = ad.finite_diff_check(lambda x: (x * x).sum(), point)
+    err = finite_diff_check(lambda x: (x * x).sum(), point)
     assert err < 1e-6
 
 
 def test_finite_diff_zero_function():
-    err = ad.finite_diff_check(lambda x: (x * 0.0).sum(), np.ones(4))
+    err = finite_diff_check(lambda x: (x * 0.0).sum(), np.ones(4))
     assert err == 0.0
 
 
@@ -90,31 +92,28 @@ def test_finite_diff_relu_away_from_kink():
     rng = rng_for(2)
     point = rng.normal(size=8)
     point[np.abs(point) < 0.05] = 0.1
-    err = ad.finite_diff_check(lambda x: ad.relu(x).sum(), point)
+    err = finite_diff_check(lambda x: ad.relu(x).sum(), point)
     assert err < 1e-4
 
 
 def test_finite_diff_rejects_non_finite():
     with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError):
-        ad.finite_diff_check(lambda x: log(x).sum(), np.array([-1.0, 1.0]))
+        finite_diff_check(lambda x: log(x).sum(), np.array([-1.0, 1.0]))
 
 
 # per-primitive gradient battery lives in gradcheck_cases (shared with the
 # acceptance gate)
 
-from gradcheck_cases import PRIMITIVE_CASES
-from advspeaker.util import stable_int
-
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients(name):
     for seed in range(3):
         loss_fn, point = PRIMITIVE_CASES[name](rng_for((stable_int(name) % 1000, seed)))
-        assert ad.finite_diff_check(loss_fn, point) < 1e-6, name
+        assert finite_diff_check(loss_fn, point) < 1e-6, name
 
 
 def test_every_opset_entry_has_a_gradient_case():
     covered = set(PRIMITIVE_CASES)
-    assert covered.issuperset(set(ad.OPSET)), set(ad.OPSET) - covered
+    assert covered.issuperset(set(OPSET)), set(OPSET) - covered
 
 
 def test_batchnorm_eval_uses_running_stats_and_is_affine():
@@ -125,7 +124,7 @@ def test_batchnorm_eval_uses_running_stats_and_is_affine():
     out = ad.batchnorm(ad.Value(x), ad.Value(gamma), ad.Value(beta), rm, rv, mode="eval")
     expected = (x - rm[None, :, None]) / np.sqrt(rv[None, :, None] + 1e-5)
     assert np.allclose(out.data, expected)
-    err = ad.finite_diff_check(
+    err = finite_diff_check(
         lambda v: (ad.batchnorm(v, ad.Value(gamma), ad.Value(beta), rm, rv, mode="eval") ** 2.0).sum(), x
     )
     assert err < 1e-6
@@ -261,3 +260,28 @@ def test_backward_populates_all_reachable_leaves():
     ad.backward(loss)
     assert x.grad is not None and y.grad is not None
     assert x.grad.shape == x.data.shape and y.grad.shape == y.data.shape
+
+
+def overlap_add_per_offset(frames, length, hop_length):
+    """Each window offset of each frame added on its own, offsets in increasing order."""
+    n, n_frames, window_length = frames.shape
+    out = np.zeros((n, length))
+    for offset in range(window_length):
+        for f in range(n_frames):
+            out[:, f * hop_length + offset] += frames[:, f, offset]
+    return out
+
+
+@pytest.mark.parametrize("n, length, window_length, hop_length", [
+    (3, 1100, 256, 128),   # hop divides the window, ragged tail past the last frame
+    (2, 2000, 400, 160),   # hop does not divide the window
+    (2, 1000, 100, 100),   # hop equals the window
+    (1, 999, 400, 160),    # one signal, as a 1-D waveform is framed
+    (2, 37, 9, 4)])
+def test_overlap_add_matches_a_per_offset_loop(n, length, window_length, hop_length):
+    n_frames = (length - window_length) // hop_length + 1
+    frames = rng_for(length).normal(size=(n, n_frames, window_length))
+    out = ad.overlap_add(frames, length, hop_length)
+    expected = overlap_add_per_offset(frames, length, hop_length)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()

@@ -525,13 +525,32 @@ def test_a_wav_corpus_is_read_in_one_pass(tmp_path, monkeypatch):
     assert len(corpus.utterances) == 12
 
 
+def test_a_wav_corpus_is_read_at_the_frontend_rate(tmp_path, capsys):
+    from advspeaker.data import write_wav
+    raw = wav_dir_config(tmp_path)
+    wav_root = tmp_path / "corpus"
+    stray = wav_root / "s0" / "a_stray.wav"  # sorts before the files at the frontend rate
+    write_wav(stray, np.zeros(800) + 0.1, 8000)
+    empty = wav_root / "s1" / "a_empty.wav"
+    write_wav(empty, np.zeros(0), 4000)
+    corpus = cli.build_corpus(cfg.config_from_dict(raw))
+    assert corpus.sample_rate == raw["frontend"]["sample_rate"] == 4000
+    assert len(corpus.utterances) == 12
+    assert corpus.manifest.rejects == [f"{stray}: sample rate 8000 != corpus rate 4000",
+                                       f"{empty}: no audio frames"]
+
+    raw["frontend"]["sample_rate"] = 8000
+    assert cli.main(["train", "--config", write_config(tmp_path, raw)]) == cli.EXIT_CONFIG
+    assert "sample rate 4000 != corpus rate 8000" in capsys.readouterr().err
+
+
 def test_a_silent_wav_is_trained_on_evaluated_and_attacked(tmp_path):
     from advspeaker.data import ingest, write_wav
     raw = wav_dir_config(tmp_path, defense="pgd_at")
     run = Path(raw["output_dir"])
     raw["eval"].update(target_checkpoint=str(run / "checkpoint.npz"), split="all",
                        scenarios=[{"kind": "clean"}, {"kind": "pgd", "iterations": 2}])
-    corpus = ingest(raw["corpus"]["root"], split_seed=raw["corpus"]["split_seed"])
+    corpus = ingest(raw["corpus"]["root"], 4000, split_seed=raw["corpus"]["split_seed"])
     silent = next(e for e in corpus.manifest.entries if e.split == "train")
     write_wav(silent.path, np.zeros(800), 4000)
     path = write_config(tmp_path, raw)

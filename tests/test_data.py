@@ -46,8 +46,8 @@ def _make_tree(tmp_path, per_speaker):
 
 def test_ingest_split_and_determinism(tmp_path):
     root = _make_tree(tmp_path, {"alice": 10, "bob": 2, "carol": 5})
-    m1 = dt.ingest(root, split_seed=3).manifest
-    m2 = dt.ingest(root, split_seed=3).manifest
+    m1 = dt.ingest(root, 8000, split_seed=3).manifest
+    m2 = dt.ingest(root, 8000, split_seed=3).manifest
     assert m1.fingerprint == m2.fingerprint
     assert m1.num_speakers == 3
     by_speaker = {}
@@ -56,7 +56,7 @@ def test_ingest_split_and_determinism(tmp_path):
     assert sorted(by_speaker["alice"]).count("test") == 1
     assert sorted(by_speaker["bob"]) == ["test", "train"]
     assert sorted(by_speaker["carol"]).count("test") == 1
-    m3 = dt.ingest(root, split_seed=4).manifest
+    m3 = dt.ingest(root, 8000, split_seed=4).manifest
     assert m3.fingerprint != m1.fingerprint
 
 
@@ -64,7 +64,7 @@ def test_ingest_rejects_corrupt_but_fails_on_tiny_speaker(tmp_path):
     root = _make_tree(tmp_path, {"alice": 3, "bob": 2})
     bad = root / "alice" / "broken.wav"
     bad.write_bytes(b"not a wav file")
-    manifest = dt.ingest(root).manifest
+    manifest = dt.ingest(root, 8000).manifest
     assert any("broken.wav" in r for r in manifest.rejects)
     assert sum(e.speaker_id == "alice" for e in manifest.entries) == 3
 
@@ -74,12 +74,36 @@ def test_ingest_rejects_corrupt_but_fails_on_tiny_speaker(tmp_path):
     d.mkdir()
     dt.write_wav(d / "only.wav", np.zeros(100) + 0.1, 8000)
     with pytest.raises(dt.CorpusError, match=f"^{re.escape(str(d))}: speaker has 1 "):
-        dt.ingest(solo)
+        dt.ingest(solo, 8000)
+
+
+def test_a_wav_without_frames_is_rejected_like_a_corrupt_file(tmp_path):
+    root = _make_tree(tmp_path, {"alice": 3, "bob": 2})
+    empty = root / "alice" / "empty.wav"
+    dt.write_wav(empty, np.zeros(0), 8000)
+    manifest = dt.ingest(root, 8000).manifest
+    assert manifest.rejects == [f"{empty}: no audio frames"]
+    assert sum(e.speaker_id == "alice" for e in manifest.entries) == 3
+
+
+def test_a_file_at_another_rate_is_rejected_even_when_it_sorts_first(tmp_path):
+    root = _make_tree(tmp_path, {"a": 3, "b": 3})
+    stray = root / "a" / "utt00.wav"
+    dt.write_wav(stray, np.zeros(1600) + 0.1, 16000)
+    corpus = dt.ingest(root, 8000)
+    assert corpus.sample_rate == 8000
+    assert corpus.manifest.rejects == [f"{stray}: sample rate 16000 != corpus rate 8000"]
+    assert len(corpus.utterances) == 5
+    # a speaker left short names what was rejected
+    message = (f"{root / 'a'}: speaker has 1 utterance(s); need >= 2 (2 file(s) rejected, "
+               f"the first {root / 'a' / 'utt01.wav'}: sample rate 8000 != corpus rate 16000)")
+    with pytest.raises(dt.CorpusError, match=f"^{re.escape(message)}$"):
+        dt.ingest(root, 16000)
 
 
 def test_load_corpus_round_trip(tmp_path):
     root = _make_tree(tmp_path, {"alice": 4, "bob": 4})
-    corpus = dt.ingest(root)
+    corpus = dt.ingest(root, 8000)
     assert corpus.num_speakers == 2
     assert corpus.fingerprint == corpus.manifest.fingerprint
     assert len(corpus.items("train")) + len(corpus.items("test")) == 8
@@ -113,7 +137,7 @@ def _utterance_digest(corpus):
 def test_ingest_of_a_pinned_tree_is_bit_exact(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # relative paths keep the manifest independent of tmp_path
     _pinned_tree(tmp_path / "corpus")
-    corpus = dt.ingest("corpus", split_seed=3)
+    corpus = dt.ingest("corpus", 8000, split_seed=3)
     dt.save_manifest("manifest.json", corpus.manifest)
     digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()[:16]
     assert digest == "c2ff57e387226076"
@@ -131,7 +155,7 @@ def test_ingest_of_a_pinned_tree_is_bit_exact(tmp_path, monkeypatch):
 
 def test_manifest_dict_round_trip(tmp_path):
     root = _make_tree(tmp_path, {"alice": 4, "bob": 4})
-    manifest = dt.ingest(root).manifest
+    manifest = dt.ingest(root, 8000).manifest
     clone = from_json(dt.CorpusManifest, to_json(manifest))
     assert clone.fingerprint == manifest.fingerprint
     assert [vars(e) for e in clone.entries] == [vars(e) for e in manifest.entries]
@@ -139,7 +163,7 @@ def test_manifest_dict_round_trip(tmp_path):
 
 def test_manifest_file_round_trip(tmp_path):
     root = _make_tree(tmp_path, {"alice": 4, "bob": 4})
-    manifest = dt.ingest(root).manifest
+    manifest = dt.ingest(root, 8000).manifest
     path = tmp_path / "manifest.json"
     dt.save_manifest(path, manifest)
     loaded = from_json(dt.CorpusManifest, json.loads(path.read_text()))

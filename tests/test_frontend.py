@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from advspeaker import autodiff as ad
 from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel, mel_filterbank
+from gradcheck_cases import finite_diff_check
 from log_mel_chain import frame_signal, log_mel_chain
 
 MICRO = FrontendConfig(sample_rate=1600, window_length=32, hop_length=16,
@@ -88,9 +89,9 @@ def test_gradient_matches_finite_differences():
     ops = FrontendOps(MICRO)
     rng = np.random.default_rng(5)
     point = 0.2 * rng.normal(size=(1, 64))
-    assert ad.finite_diff_check(lambda x: log_mel(x, ops).sum(), point) < 1e-4
+    assert finite_diff_check(lambda x: log_mel(x, ops).sum(), point) < 1e-4
     weights = ad.Value(rng.normal(size=(1, MICRO.mel_bins, 3)))
-    err = ad.finite_diff_check(lambda x: (log_mel(x, ops) * weights).sum(), point)
+    err = finite_diff_check(lambda x: (log_mel(x, ops) * weights).sum(), point)
     assert err < 1e-4
 
 
@@ -138,6 +139,21 @@ def test_fused_log_mel_is_bit_identical_to_the_primitive_chain(config, shape):
 def test_log_mel_is_one_graph_node():
     out = log_mel(ad.Value(np.zeros((1, 96)), requires_grad=True), FrontendOps(MICRO))
     assert out._op == "log_mel" and len(out._parents) == 1
+
+
+def test_log_mel_gradient_of_a_1d_waveform_is_that_of_its_one_row_batch():
+    ops = FrontendOps(FrontendConfig(sample_rate=4000, window_length=400, hop_length=160,
+                                     fft_size=512, mel_bins=12))
+    rng = np.random.default_rng(13)
+    wave = rng.uniform(-0.1, 0.1, size=1210)
+    weights = ad.Value(rng.normal(size=(1, 12, 6)))
+    grads = []
+    for x in (wave, wave[None, :]):
+        xv = ad.Value(x, requires_grad=True)
+        ad.backward((log_mel(xv, ops) * weights).sum())
+        grads.append(xv.grad)
+    assert grads[0].shape == (1210,)
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_frame_signal_backward_is_overlap_add():

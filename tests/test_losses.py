@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from advspeaker import autodiff as ad
 from advspeaker import losses as ls
+from gradcheck_cases import finite_diff_check
 from sinkhorn_log_domain import sinkhorn_log_domain
 
 
@@ -48,7 +49,7 @@ def test_ce_rejects_bad_labels():
 def test_ce_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     labels = np.array([1, 0, 2])
-    err = ad.finite_diff_check(lambda z: ls.ce_loss(z, labels), rng.normal(size=(3, 4)))
+    err = finite_diff_check(lambda z: ls.ce_loss(z, labels), rng.normal(size=(3, 4)))
     assert err < 1e-6
 
 
@@ -77,7 +78,7 @@ def test_margin_gradient_matches_finite_differences():
     # spread logits so neither the hinge boundary nor argmax ties are near
     logits = rng.normal(size=(3, 5)) * 3.0
     labels = np.array([0, 2, 4])
-    err = ad.finite_diff_check(lambda z: ls.margin_loss(z, labels, margin=5.0), logits)
+    err = finite_diff_check(lambda z: ls.margin_loss(z, labels, margin=5.0), logits)
     assert err < 1e-6
 
 
@@ -209,6 +210,64 @@ def test_scaling_sinkhorn_matches_log_domain_oracle():
         assert abs(fast.distance - slow.distance) < 1e-12
         outcomes.add(fast.converged)
     assert outcomes == {True, False}
+
+
+def sinkhorn_per_iteration(problem, max_iters, tolerance):
+    """The scaling loop with the row and column errors tested after every
+    iteration. Returns the stopping iteration, the unrounded plan and each
+    iterate's row error."""
+    mu, nu = problem.mu, problem.nu
+    kernel = np.exp(-np.asarray(problem.cost) / problem.regularization)
+    v = np.ones_like(nu)
+    kv = kernel @ v
+    row_errors = []
+    for it in range(1, max_iters + 1):
+        u = mu / kv
+        ktu = u @ kernel
+        v = nu / ktu
+        kv = kernel @ v
+        row_errors.append(np.abs(u * kv - mu).max())
+        if max(row_errors[-1], np.abs(v * ktu - nu).max()) < tolerance:
+            break
+    return it, u[:, None] * kernel * v[None, :], row_errors
+
+
+def _assert_sinkhorn_matches_per_iteration(problem, max_iters, tolerance):
+    result = ls.sinkhorn_ot(problem, max_iters, tolerance)
+    it, plan, row_errors = sinkhorn_per_iteration(problem, max_iters, tolerance)
+    assert (result.iterations, result.converged) == (it, row_errors[-1] < tolerance)
+    assert result.scaling_residual == row_errors[-1]
+    rounded = ls._round_to_feasible(plan, problem.mu, problem.nu)
+    assert result.plan.tobytes() == rounded.tobytes()
+    assert result.distance == float((rounded * problem.cost).sum())
+    return row_errors
+
+
+def test_sinkhorn_stops_where_a_per_iteration_test_stops_when_the_error_rises():
+    # skewed marginals make the row error fall below 0.006 at iteration 15,
+    # then rise above it at 16, inside the block of iterations 11-20
+    rng = np.random.default_rng(541)
+    mu, nu = rng.uniform(0.01, 1.0, size=(2, 7)) ** 3
+    problem = ls.TransportProblem(mu / mu.sum(), nu / nu.sum(),
+                                  rng.uniform(0.0, 2.0, size=(7, 7)), 0.05)
+    row_errors = _assert_sinkhorn_matches_per_iteration(problem, 300, 0.006)
+    assert len(row_errors) == 15 and ls.SINKHORN_BLOCK == 10
+    assert min(row_errors[:-1]) >= 0.006
+    assert sinkhorn_per_iteration(problem, 16, 0.0)[2][-1] >= 0.006
+
+
+@pytest.mark.parametrize("max_iters", [1, 9, 10, 11, 300])
+def test_sinkhorn_matches_a_per_iteration_loop_at_every_budget(max_iters):
+    rng = np.random.default_rng(max_iters)
+    labels = rng.integers(0, 10, size=32)  # a desk batch: 32 utterances of 10 speakers
+    centers = rng.normal(size=(10, 10))
+    clean = centers[labels] + 0.1 * rng.normal(size=(32, 10))
+    adv = centers[labels] + 0.3 * rng.normal(size=(32, 10))
+    uniform = np.full(32, 1.0 / 32)
+    cost = ls.cosine_cost_matrix(clean, adv).data
+    for tolerance in (1e-6, 1e-3):
+        _assert_sinkhorn_matches_per_iteration(
+            ls.TransportProblem(uniform, uniform, cost, 0.01), max_iters, tolerance)
 
 
 def test_kernel_range_rule():

@@ -8,6 +8,7 @@ import pytest
 from advspeaker import autodiff as ad
 from advspeaker import model as mdl
 from advspeaker.frontend import FrontendConfig
+from gradcheck_cases import finite_diff_check
 
 MICRO_FE = FrontendConfig(sample_rate=1600, window_length=32, hop_length=16,
                           fft_size=32, mel_bins=6, log_floor=1e-6)
@@ -108,7 +109,7 @@ def test_ce_gradient_wrt_waveform_matches_finite_differences():
         log_probs = logits - ad.logsumexp(logits, axis=1, keepdims=True)
         return -ad.gather_rows(log_probs, labels).mean()
 
-    assert ad.finite_diff_check(loss_fn, point) < 1e-3
+    assert finite_diff_check(loss_fn, point) < 1e-3
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
