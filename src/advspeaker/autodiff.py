@@ -3,11 +3,15 @@
 Graphs are define-by-run: constructing an expression evaluates it eagerly
 and records, for each input, one ``(parent, vjp)`` edge whose ``vjp`` maps
 the output gradient to that input's gradient. ``_node`` is the only place
-that builds a node: it drops edges into constants and accumulates the rest
-at backward time. A fresh graph is built on every forward pass, which is
-exactly what iterative attack loops need. Constant subgraphs (no
-``requires_grad`` leaf below them) carry no tape and cost nothing at
-backward time.
+that builds a node: it drops edges into constants and stores the rest on
+the node, and ``backward`` accumulates them. A fresh graph is built on
+every forward pass, which is exactly what iterative attack loops need.
+Constant subgraphs (no ``requires_grad`` leaf below them) carry no tape and
+cost nothing at backward time.
+
+Graphs are acyclic: a node refers to its parents and their adjoints, never
+to itself, so reference counting frees a graph's arrays as soon as its
+last node is dropped, without waiting for the cyclic garbage collector.
 
 Conventions baked in here:
   * everything is float64,
@@ -37,15 +41,18 @@ class NonFiniteError(ArithmeticError):
 class Value:
     """A node in the computation graph: an array plus an optional gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_edges", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Value, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._edges: tuple[tuple[Value, Callable[[np.ndarray], np.ndarray]], ...] = ()
         self._op = "leaf"
+
+    @property
+    def _parents(self) -> tuple["Value", ...]:
+        return tuple(parent for parent, _ in self._edges)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,21 +95,14 @@ def _node(data: np.ndarray, op: str,
 
     ``vjp(g)`` maps the node's gradient ``g`` to that parent's gradient.
     Edges into parents that need no gradient are dropped here, so no adjoint
-    is ever computed for a constant. At backward time the node adds each
-    kept edge's adjoint to its parent's ``grad``, in edge order.
+    is ever computed for a constant. The kept edges are stored on the node;
+    at backward time each kept edge's adjoint is added to its parent's
+    ``grad``, in edge order.
     """
     out = Value(data)
     out._op = op
-    live = [edge for edge in edges if edge[0].requires_grad]
-    if live:
-        out._parents, vjps = zip(*live)
-        out.requires_grad = True
-
-        def _backward():
-            for parent, vjp in zip(out._parents, vjps):
-                parent.grad += vjp(out.grad)
-
-        out._backward = _backward
+    out._edges = tuple(edge for edge in edges if edge[0].requires_grad)
+    out.requires_grad = bool(out._edges)
     return out
 
 
@@ -443,5 +443,5 @@ def backward(loss: Value) -> None:
             node.grad = np.zeros_like(node.data)
     loss.grad = loss.grad + np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
+        for parent, vjp in node._edges:
+            parent.grad += vjp(node.grad)

@@ -62,8 +62,31 @@ def mel_filterbank(config: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
     return weights, center
 
 
+class _Workspace:
+    """The arrays ``log_mel`` and its adjoint write through ``out=`` for one batch shape.
+
+    ``re`` and ``im`` hold the spectrum of the call that ``stamp`` names.
+    ``frames``, ``power``, ``spare`` and ``g_sin`` are scratch: no value in
+    them outlives the forward or adjoint that wrote it.
+    """
+
+    def __init__(self, n: int, n_frames: int, config: FrontendConfig):
+        rows, bins = n * n_frames, config.fft_size // 2 + 1
+        self.key = (n, n_frames)
+        self.stamp: object | None = None
+        self.frames = np.empty((n, n_frames, config.window_length))
+        self.g_sin = np.empty((rows, config.window_length))
+        self.re, self.im, self.power, self.spare = (np.empty((rows, bins)) for _ in range(4))
+
+
 class FrontendOps:
-    """Precomputed constants (window, DFT matrices, filterbank) for one config."""
+    """Precomputed constants (window, DFT matrices, filterbank) for one config.
+
+    It also holds one ``_Workspace``, for the last batch shape ``log_mel``
+    saw; a call of another shape replaces it.
+    """
+
+    _workspace: _Workspace | None = None
 
     def __init__(self, config: FrontendConfig):
         self.config = config
@@ -76,6 +99,22 @@ class FrontendOps:
         self.dft_sin = -np.sin(angle)
         self._fb_t = mel_filterbank(config)[0].T.copy()
 
+    def _workspace_for(self, n: int, n_frames: int) -> _Workspace:
+        if self._workspace is None or self._workspace.key != (n, n_frames):
+            self._workspace = None  # free the old shape's arrays before allocating
+            self._workspace = _Workspace(n, n_frames, self.config)
+        return self._workspace
+
+
+def _spectrum(signal: np.ndarray, ops: FrontendOps, ws: _Workspace) -> None:
+    """Frame, window and DFT (n, T) ``signal`` into ``ws.re`` and ``ws.im``."""
+    cfg = ops.config
+    np.multiply(ad.frames_view(signal, cfg.window_length, cfg.hop_length), ops.window,
+                out=ws.frames)
+    flat = ws.frames.reshape(-1, cfg.window_length)
+    np.matmul(flat, ops.dft_cos, out=ws.re)
+    np.matmul(flat, ops.dft_sin, out=ws.im)
+
 
 def log_mel(waveform, ops: FrontendOps) -> Value:
     """(n, T) or (T,) waveforms -> (n, mel_bins, frames) floored log mel energies.
@@ -85,6 +124,11 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
     of autodiff primitives (frame, window, two DFT matmuls, power,
     filterbank, floor, log), so values and gradients match that chain bit
     for bit.
+
+    The large intermediates live in ``ops``' workspace, not in the graph.
+    Each call stamps the workspace; an adjoint run after another call
+    overwrote it first recomputes its spectrum from the waveform, which
+    gives the same bits, so any number of calls may share one graph.
     """
     cfg = ops.config
     x = ad.as_value(waveform)
@@ -94,32 +138,37 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
     n, t = signal.shape
     if t < cfg.window_length:
         raise ad.ShapeError("log_mel", f"signal length {t} < window {cfg.window_length}")
-    frames = ad.frames_view(signal, cfg.window_length, cfg.hop_length) * ops.window
-    n_frames = frames.shape[1]
-    flat = frames.reshape(n * n_frames, cfg.window_length)
-    re = flat @ ops.dft_cos
-    im = flat @ ops.dft_sin
-    power = re * re
-    power += im * im
+    n_frames = (t - cfg.window_length) // cfg.hop_length + 1
+    ws = ops._workspace_for(n, n_frames)
+    _spectrum(signal, ops, ws)
+    stamp = ws.stamp = object()
+    power = np.multiply(ws.re, ws.re, out=ws.power)
+    power += np.multiply(ws.im, ws.im, out=ws.spare)
     mel = power @ ops._fb_t
     clamped = np.clip(mel, cfg.log_floor, None)
     keep = mel > cfg.log_floor
     data = np.log(clamped).reshape(n, n_frames, cfg.mel_bins).transpose(0, 2, 1)
 
     def vjp(g):
+        ws = ops._workspace_for(n, n_frames)
+        if ws.stamp is not stamp:
+            _spectrum(signal, ops, ws)
+            ws.stamp = stamp
         # the chain's zero-initialised accumulators only flip -0.0 to +0.0,
         # which the zero-initialised overlap-add does as well, so they are
         # left out; every other step repeats the chain's arithmetic
         g = g.transpose(0, 2, 1).reshape(n * n_frames, cfg.mel_bins)
-        g_power = ((g / clamped) * keep) @ ops._fb_t.T
+        g_power = np.matmul((g / clamped) * keep, ops._fb_t.T, out=ws.power)
         # the chain doubles g*re and g*im; doubling g first is exact, so the
         # products match it bit for bit (outside the subnormal range)
         g_power += g_power
-        g_re = g_power * re
-        g_im = np.multiply(g_power, im, out=g_power)
-        g_frames = (g_re @ ops.dft_cos.T).reshape(n, n_frames, cfg.window_length)
-        g_frames += (g_im @ ops.dft_sin.T).reshape(n, n_frames, cfg.window_length)
+        g_re = np.multiply(g_power, ws.re, out=ws.spare)
+        g_im = np.multiply(g_power, ws.im, out=g_power)
+        g_frames = ws.frames.reshape(n * n_frames, cfg.window_length)
+        np.matmul(g_re, ops.dft_cos.T, out=g_frames)
+        g_frames += np.matmul(g_im, ops.dft_sin.T, out=ws.g_sin)
         g_frames *= ops.window
+        g_frames = g_frames.reshape(n, n_frames, cfg.window_length)
         return ad.overlap_add(g_frames, t, cfg.hop_length).reshape(x.shape)
 
     return ad._node(data, "log_mel", (x, vjp))

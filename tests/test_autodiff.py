@@ -183,7 +183,7 @@ def test_node_drops_an_edge_into_a_constant_without_calling_its_adjoint():
     ad.backward(ad.reduce_sum(out))
     assert np.array_equal(x.grad, [3.0, 4.0])
     frozen = ad._node(const.data.copy(), "probe", (const, never))
-    assert not frozen.requires_grad and frozen._parents == () and frozen._backward is None
+    assert not frozen.requires_grad and frozen._parents == () and frozen._edges == ()
 
 
 @pytest.mark.parametrize("op, closed_form", [

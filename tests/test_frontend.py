@@ -1,5 +1,7 @@
 """Log-mel front-end tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,56 @@ def test_fused_log_mel_is_bit_identical_to_the_primitive_chain(config, shape):
     assert fused.tobytes() == chain.tobytes()
     assert fused_grad.shape == chain_grad.shape == x.shape
     assert fused_grad.tobytes() == chain_grad.tobytes()
+
+
+def _assert_as_fresh(xv, features, weights):
+    """``features`` and ``xv.grad`` equal those of a graph and ``FrontendOps`` of their own."""
+    want_features, want_grad = _features_and_gradient(log_mel, xv.data, FrontendOps(DESK),
+                                                      weights)
+    assert features.data.tobytes() == want_features.tobytes()
+    assert xv.grad.tobytes() == want_grad.tobytes()
+
+
+def _waves(seed, *rows):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-0.1, 0.1, size=(n, 1024)) for n in rows]
+
+
+def test_two_log_mel_nodes_of_one_shape_in_one_graph_match_separate_graphs():
+    ops = FrontendOps(DESK)
+    a, b = (ad.Value(x, requires_grad=True) for x in _waves(14, 32, 32))
+    weights = np.random.default_rng(15).normal(size=(32, DESK.mel_bins, 7))
+    features = [log_mel(a, ops), log_mel(b, ops)]
+    ad.backward(((features[0] + features[1]) * ad.Value(weights)).sum())
+    for xv, out in zip((a, b), features):
+        _assert_as_fresh(xv, out, weights)
+
+
+def test_a_forward_only_log_mel_between_forward_and_backward_changes_no_gradient():
+    ops = FrontendOps(DESK)
+    x, other = _waves(16, 32, 32)
+    xv = ad.Value(x, requires_grad=True)
+    weights = np.random.default_rng(17).normal(size=(32, DESK.mel_bins, 7))
+    features = log_mel(xv, ops)
+    log_mel(other, ops)
+    ad.backward((features * ad.Value(weights)).sum())
+    _assert_as_fresh(xv, features, weights)
+
+
+def test_batch_shapes_32_8_32_in_one_graph_match_separate_graphs_with_one_workspace():
+    ops = FrontendOps(DESK)
+    values = [ad.Value(x, requires_grad=True) for x in _waves(18, 32, 8, 32)]
+    weights = np.random.default_rng(19).normal(size=(32, DESK.mel_bins, 7))
+    features, workspaces = [], []
+    for xv in values:
+        features.append(log_mel(xv, ops))
+        workspaces.append(weakref.ref(ops._workspace))
+    # each new batch shape replaced the workspace of the one before
+    assert [ws() is None for ws in workspaces] == [True, True, False]
+    loss = sum((out * ad.Value(weights[:len(out.data)])).sum() for out in features)
+    ad.backward(loss)
+    for xv, out in zip(values, features):
+        _assert_as_fresh(xv, out, weights[:len(out.data)])
 
 
 def test_log_mel_is_one_graph_node():

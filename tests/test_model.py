@@ -1,6 +1,8 @@
 """Speaker CNN tests on micro configurations."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,28 @@ def test_ce_gradient_wrt_waveform_matches_finite_differences():
         return -ad.gather_rows(log_probs, labels).mean()
 
     assert finite_diff_check(loss_fn, point) < 1e-3
+
+
+def _log_mel_output(loss):
+    """A weak reference to the features array of the one log_mel node under ``loss``."""
+    (node,) = [node for node in ad._topo_order(loss) if node._op == "log_mel"]
+    return weakref.ref(node.data)
+
+
+def test_a_graph_is_freed_by_reference_counting_once_its_loss_is_dropped():
+    params = micro_params(9)
+    x = ad.Value(0.1 * np.random.default_rng(10).normal(size=(3, 128)), requires_grad=True)
+    # with the cyclic collector off, a graph that is a reference cycle is never freed
+    gc.disable()
+    try:
+        loss = mdl.forward_logits(params, x, mode="attack").sum()
+        features = _log_mel_output(loss)
+        ad.backward(loss)
+        assert features() is not None and x.grad is not None
+        del loss
+        assert features() is None
+    finally:
+        gc.enable()
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
