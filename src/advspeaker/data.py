@@ -10,8 +10,11 @@ harmonic phases and additive noise.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import wave
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -208,15 +211,21 @@ class SynthConfig:
 
     def _rules(self) -> list[tuple[bool, str]]:
         low, high = self.f0_range
+        finite_duration = math.isfinite(self.duration_s)  # round() refuses NaN and inf
         return [(self.num_speakers < 2, "num_speakers: must be >= 2"),
                 (self.utterances_per_speaker < 2, "utterances_per_speaker: must be >= 2"),
                 (self.sample_rate < 1, "sample_rate: must be >= 1"),
-                (round(self.duration_s * self.sample_rate) < 1,
+                (not finite_duration, "duration_s: must be finite"),
+                (finite_duration and round(self.duration_s * self.sample_rate) < 1,
                  "duration_s: must last at least one sample at sample_rate"),
                 (self.seed < 0, "seed: must be >= 0"),
+                (not (math.isfinite(low) and math.isfinite(high)), "f0_range: must be finite"),
                 (not 0 < low <= high, "f0_range: must satisfy 0 < low <= high"),
                 (self.harmonics < 1, "harmonics: must be >= 1"),
-                (self.rms <= 0, "rms: must be > 0")]
+                (not math.isfinite(self.rms), "rms: must be finite"),
+                (self.rms <= 0, "rms: must be > 0"),
+                (not math.isfinite(self.noise_snr_db), "noise_snr_db: must be finite"),
+                (not math.isfinite(self.tilt), "tilt: must be finite")]
 
 
 def synth_corpus(config: SynthConfig) -> Corpus:
@@ -224,33 +233,58 @@ def synth_corpus(config: SynthConfig) -> Corpus:
 
     Each speaker gets a fundamental drawn from its own slice of the f0
     range plus a random tilt-shaped harmonic amplitude profile; utterances
-    share the profile and differ by harmonic phases and 20 dB additive
-    noise.
+    share the profile and differ by harmonic phases and additive noise at
+    ``noise_snr_db``.
+
+    Every random number is drawn on the calling thread in one fixed order;
+    the harmonics of each utterance are summed on a pool of one thread per
+    CPU, which is shut down before this returns. Each utterance is
+    computed by the same operations whichever thread runs it, so the bytes
+    do not depend on the CPU count.
     """
     rng = rng_for("synth", config.seed)
     n_samples = int(round(config.duration_s * config.sample_rate))
     t = np.arange(n_samples) / config.sample_rate
     lo, hi = config.f0_range
     band_edges = np.linspace(lo, hi, config.num_speakers + 1)
+    noise_rms = config.rms * 10.0 ** (-config.noise_snr_db / 20.0)
 
-    utterances: list[Utterance] = []
-    for s in range(config.num_speakers):
-        speaker = f"spk{s:03d}"
-        f0 = rng.uniform(band_edges[s], band_edges[s + 1])
-        amps = (config.tilt ** np.arange(config.harmonics)) * \
-            rng.uniform(0.5, 1.5, size=config.harmonics)
-        n_train, n_test = split_counts(config.utterances_per_speaker)
-        for u in range(config.utterances_per_speaker):
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=config.harmonics)
-            wave_sum = np.zeros(n_samples)
-            for h in range(config.harmonics):
-                wave_sum += amps[h] * np.sin(2.0 * np.pi * (h + 1) * f0 * t + phases[h])
-            wave_sum *= config.rms / np.sqrt(np.mean(wave_sum ** 2))
-            noise_rms = config.rms * 10.0 ** (-config.noise_snr_db / 20.0)
-            wave_sum += noise_rms * rng.normal(size=n_samples)
-            samples = np.clip(wave_sum, -1.0, 1.0)
-            split = "train" if u < n_train else "test"
-            utterances.append(Utterance(samples, speaker, split))
+    def draws():
+        for s in range(config.num_speakers):
+            f0 = rng.uniform(band_edges[s], band_edges[s + 1])
+            amps = (config.tilt ** np.arange(config.harmonics)) * \
+                rng.uniform(0.5, 1.5, size=config.harmonics)
+            for _ in range(config.utterances_per_speaker):
+                phases = rng.uniform(0.0, 2.0 * np.pi, size=config.harmonics)
+                yield f0, amps, phases, rng.normal(size=n_samples)
+
+    def utterance(drawn) -> np.ndarray:
+        f0, amps, phases, samples = drawn
+        # wave_sum += amps[h] * np.sin(2.0 * np.pi * (h + 1) * f0 * t + phases[h]),
+        # operation for operation, through one buffer: what a worker frees
+        # stays in its thread's malloc arena after the pool is gone, so fewer
+        # temporaries keep the peak RSS down
+        wave_sum = np.zeros(n_samples)
+        term = np.empty(n_samples)
+        for h in range(config.harmonics):
+            np.multiply(2.0 * np.pi * (h + 1) * f0, t, out=term)
+            term += phases[h]
+            np.sin(term, out=term)
+            term *= amps[h]
+            wave_sum += term
+        wave_sum *= config.rms / np.sqrt(np.mean(np.square(wave_sum, out=term)))
+        samples *= noise_rms  # the noise becomes the utterance: no array beyond the corpus
+        samples += wave_sum
+        return np.clip(samples, -1.0, 1.0, out=samples)
+
+    # map submits every job as it walks draws(), so drawing overlaps the sines
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        waves = list(pool.map(utterance, draws()))
+    per_speaker = config.utterances_per_speaker
+    n_train, _ = split_counts(per_speaker)
+    utterances = [Utterance(samples, f"spk{i // per_speaker:03d}",
+                            "train" if i % per_speaker < n_train else "test")
+                  for i, samples in enumerate(waves)]
 
     digest = fingerprint({"kind": "synthetic", **to_json(config)})
     return Corpus(utterances, config.sample_rate, digest)

@@ -1,15 +1,22 @@
 """Corpus, split, batching, and WAV round-trip tests."""
 
+import dataclasses
 import hashlib
 import json
+import math
+import os
 import re
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from advspeaker import data as dt
+from advspeaker.config import config_from_dict
 from advspeaker.frontend import FrontendConfig, FrontendOps, log_mel
-from advspeaker.util import from_json, to_json
+from advspeaker.util import ConfigError, from_json, to_json
+from synth_serial import synth_corpus_serial
 
 SMALL_SYNTH = dt.SynthConfig(num_speakers=3, utterances_per_speaker=10,
                              duration_s=0.2, sample_rate=4000, seed=5)
@@ -189,6 +196,54 @@ def test_synth_corpus_deterministic():
     assert a.fingerprint == b.fingerprint
     for ua, ub in zip(a.utterances, b.utterances):
         assert np.array_equal(ua.samples, ub.samples)
+
+
+def test_synth_corpus_bytes_are_pinned():
+    """The desk presets' corpus and paper-attack's stand-in, as the serial
+    loop of tests/synth_serial.py gave them."""
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "desk-hat.json").read_text())
+    desk = dt.synth_corpus(config_from_dict(raw).corpus.synth_config())
+    assert desk.fingerprint == "c16f7580e8ebe819"
+    assert _utterance_digest(desk) == "625e183e67b8488c"
+    paper = dt.synth_corpus(dt.SynthConfig(num_speakers=32, utterances_per_speaker=2,
+                                           duration_s=3.0, sample_rate=16000, seed=1))
+    assert paper.fingerprint == "9ff1084b21053f15"
+    assert _utterance_digest(paper) == "c9611f18775fdff5"
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("synth", [
+    SMALL_SYNTH,
+    dataclasses.replace(SMALL_SYNTH, harmonics=1),
+    dataclasses.replace(SMALL_SYNTH, utterances_per_speaker=2),
+    dataclasses.replace(SMALL_SYNTH, duration_s=1 / SMALL_SYNTH.sample_rate),
+    dataclasses.replace(SMALL_SYNTH, num_speakers=7),
+], ids=["small", "one-harmonic", "two-utterances", "one-sample", "seven-speakers"])
+def test_pooled_synthesis_matches_the_serial_loop_at_any_cpu_count(monkeypatch, synth, workers):
+    expected = synth_corpus_serial(synth)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    threads = threading.active_count()
+    corpus = dt.synth_corpus(synth)
+    assert threading.active_count() == threads  # the pool is gone when synth_corpus returns
+    assert corpus.fingerprint == expected.fingerprint
+    assert corpus.speakers == expected.speakers
+    for got, want in zip(corpus.utterances, expected.utterances, strict=True):
+        assert (got.speaker_id, got.split) == (want.speaker_id, want.split)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_snr_db", math.nan), ("tilt", math.nan), ("rms", math.inf),
+    ("duration_s", math.nan), ("duration_s", -math.inf), ("f0_range", (110.0, math.inf)),
+])
+def test_synth_config_rejects_non_finite_fields_when_built(field, value):
+    with pytest.raises(ConfigError) as built:
+        dt.SynthConfig(**{field: value})
+    assert built.value.errors == [f"{field}: must be finite"]
+    # from JSON, the field's type check refuses the value first, as it always has
+    with pytest.raises(ConfigError) as loaded:
+        from_json(dt.SynthConfig, {field: value})
+    assert all(": must be a finite number, got " in e for e in loaded.value.errors)
 
 
 def test_synth_speakers_have_distinct_spectral_envelopes():
