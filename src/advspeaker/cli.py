@@ -131,6 +131,17 @@ def _cells(scenario, eval_cfg) -> list[tuple[float | int | None, str, AttackSpec
     return [(None, name, spec)]
 
 
+def _check_entry_names(eval_cfg) -> None:
+    """Refuse scenarios that give two report entries one name: `report.txt`
+    could not tell their rows apart, and `report`'s table would keep one."""
+    cells = [(j, name) for j, scenario in enumerate(eval_cfg.scenarios)
+             for _, name, _ in _cells(scenario, eval_cfg)]
+    names = [name for _, name in cells]
+    check([(names.index(name) < k, f"eval.scenarios[{j}]: entry name {name!r} repeats "
+            f"eval.scenarios[{cells[names.index(name)][0]}]'s")
+           for k, (j, name) in enumerate(cells)])
+
+
 def cmd_train(config: ExperimentConfig, out_dir: Path) -> int:
     corpus = build_corpus(config)
     if corpus.manifest is not None:
@@ -328,6 +339,7 @@ def main(argv=None) -> int:
             f"{key}={json.dumps(value)}" for key, value in flags if value is not None])
         for w in validate(config):
             print(f"warning: {w}", file=sys.stderr)
+        _check_entry_names(config.eval)
 
         out_dir = Path(config.output_dir)
         if args.command == "validate":

@@ -230,15 +230,31 @@ def test_criterion_4_desk_scale_defense_efficacy(desk_corpus, desk_models):
 
 # --- criterion 5: attack-strength orderings ------------------------------------
 
-def test_criterion_5_orderings_and_budget_sweep(desk_corpus, desk_models):
+SWEEP_EPSILONS = [0.001, 0.002, 0.005, 0.01, 0.1]
+
+
+@pytest.fixture(scope="module")
+def hat_accuracies(desk_corpus, desk_models):
+    """The desk HAT model's whole-corpus accuracies that criterion 5 and the
+    masking checks both judge, each measured once: FGSM, PGD-10, PGD-100 and
+    the PGD-10 budget sweep, whose 0.002 point is the PGD-10 pass itself."""
     hat = desk_models["hat"]
     kw = desk_eval_kwargs(split="all")  # finer granularity than the 40-item test split
-    fgsm_acc, _ = ev.accuracy_under_attack(hat, desk_corpus, fgsm_spec(0.002), **kw)
-    pgd10_acc, _ = ev.accuracy_under_attack(hat, desk_corpus, pgd_spec(0.002, 10), **kw)
-    pgd100_acc, _ = ev.accuracy_under_attack(hat, desk_corpus, pgd_spec(0.002, 100), **kw)
-    curve = [(eps, ev.accuracy_under_attack(
-                 hat, desk_corpus, spec_with(pgd_spec(0.002, 10), epsilon=eps), **kw)[0])
-             for eps in [0.001, 0.002, 0.005, 0.01, 0.1]]
+    pgd10 = pgd_spec(0.002, 10)
+    assert spec_with(pgd10, epsilon=0.002) == pgd10
+    assert spec_with(pgd10, epsilon=0.1) == pgd_spec(0.1, 10)
+    measured = {"fgsm": fgsm_spec(0.002), "pgd10": pgd10, "pgd100": pgd_spec(0.002, 100)}
+    measured.update({eps: spec_with(pgd10, epsilon=eps) for eps in SWEEP_EPSILONS
+                     if eps != 0.002})
+    accs = {key: ev.accuracy_under_attack(hat, desk_corpus, spec, **kw)[0]
+            for key, spec in measured.items()}
+    accs[0.002] = accs["pgd10"]
+    return accs
+
+
+def test_criterion_5_orderings_and_budget_sweep(hat_accuracies):
+    fgsm_acc, pgd10_acc, pgd100_acc = (hat_accuracies[k] for k in ("fgsm", "pgd10", "pgd100"))
+    curve = [(eps, hat_accuracies[eps]) for eps in SWEEP_EPSILONS]
     non_increasing = all(curve[i + 1][1] <= curve[i][1] + 2.0
                          for i in range(len(curve) - 1))
     stable = abs(pgd10_acc - pgd100_acc) < 10.0  # defended curve barely moves with T
@@ -265,13 +281,18 @@ def test_criterion_6_transfer_attacks_no_stronger_than_white_box(desk_corpus, de
               f"transfer {transferred:.2f} vs white-box {white:.2f}")
 
 
-def test_masking_checks_all_pass_on_desk_hat(desk_corpus, desk_models):
-    """A properly adversarially-trained model clears every masking check."""
-    checks = ev.masking_checks(
-        desk_models["hat"], {"standard": desk_models["standard"]}, desk_corpus,
-        epsilon=0.002, iterations=10, large_epsilon=0.1,
-        batch_size=DESK.eval.batch_size, segment_length=DESK.train.segment_length,
-        seed=EVAL_SEED, split="all")
+def test_masking_checks_all_pass_on_desk_hat(desk_corpus, desk_models, hat_accuracies):
+    """A properly adversarially-trained model clears every masking check.
+
+    Only the transfer pass runs here; the white-box accuracies are criterion
+    5's, and its sweep's 0.1 point is the large-budget PGD-10.
+    """
+    transfer, _ = ev.accuracy_under_attack(
+        desk_models["hat"], desk_corpus, pgd_spec(0.002, 10),
+        attacker=model_forward_fn(desk_models["standard"]), **desk_eval_kwargs(split="all"))
+    checks = ev.masking_checks(hat_accuracies["pgd10"], hat_accuracies["fgsm"],
+                               {"standard": transfer}, hat_accuracies[0.1],
+                               tolerance_points=2.0)
     assert checks.all_passed(), checks.evidence
 
 

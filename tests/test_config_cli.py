@@ -660,6 +660,10 @@ def test_default_train_alpha_follows_the_resolved_budget():
         assert wider.alpha == wider.step == 0.0004, path.stem
 
 
+REPEATED_PGD2 = ('eval.scenarios=[{"kind": "pgd", "iterations": 2}, '
+                 '{"kind": "pgd", "iterations": 2, "epsilon": 0.05}]')
+
+
 @pytest.mark.parametrize("command, overrides, field", [
     ("eval", ['eval.scenarios=[{"kind": "transfer", "attack": "pgdd"}]',
               "eval.source_checkpoint=src.npz"], "eval.scenarios[0].attack"),
@@ -705,6 +709,14 @@ def test_default_train_alpha_follows_the_resolved_budget():
     ("report", ['report.checkpoints=[["..", "a.npz"]]'], "report.checkpoints"),
     ("report", ['report.checkpoints=[[".lock", "a.npz"]]'], "report.checkpoints"),
     ("train", ["train.attack.beta=1"], "train.attack.beta: unknown key"),  # weights are nested
+    # two report entries of one name: a table could not tell their rows apart
+    ("report", [REPEATED_PGD2], "eval.scenarios[1]: entry name 'pgd2' repeats "
+                                "eval.scenarios[0]'s"),
+    ("validate", [REPEATED_PGD2], "eval.scenarios[1]: entry name 'pgd2' repeats "
+                                  "eval.scenarios[0]'s"),
+    ("eval", ['eval.scenarios=[{"kind": "epsilon_sweep", "epsilons": [0.001, 0.002, 0.001]}]'],
+     "eval.scenarios[0]: entry name 'epsilon_sweep:pgd10@eps=0.001' repeats "
+     "eval.scenarios[0]'s"),
 ])
 def test_scenarios_that_cannot_run_exit_2_naming_the_field(tmp_path, capsys, command,
                                                            overrides, field):

@@ -9,7 +9,7 @@ from advspeaker import data as dt
 from advspeaker import evaluate as ev
 from advspeaker import model as mdl
 from advspeaker import training as tr
-from advspeaker.attacks import AttackSpec, model_forward_fn, pgd_spec, spec_with
+from advspeaker.attacks import AttackSpec, fgsm_spec, model_forward_fn, pgd_spec, spec_with
 from advspeaker.frontend import FrontendConfig
 from advspeaker.losses import LossWeights
 
@@ -114,22 +114,55 @@ def test_curve_csv_layout():
     assert lines[2] == "0.001,88.00,pgd,3"
 
 
+def measured_masking_checks(target, sources, corpus, *, epsilon, iterations,
+                            large_epsilon=0.1, attacker=None, **kwargs):
+    """The masking verdict on the four accuracies measured on ``corpus``;
+    the white-box attacks are crafted on ``attacker`` when given."""
+    def acc(spec, crafted_on):
+        return ev.accuracy_under_attack(target, corpus, spec, attacker=crafted_on, **kwargs)[0]
+
+    pgd = pgd_spec(epsilon, iterations)
+    return ev.masking_checks(
+        acc(pgd, attacker), acc(fgsm_spec(epsilon), attacker),
+        {name: acc(pgd, model_forward_fn(src)) for name, src in sources.items()},
+        acc(pgd_spec(large_epsilon, iterations), attacker))
+
+
 def test_masking_checks_structure_and_degenerate_source(corpus, trained):
-    checks = ev.masking_checks(trained, {"self": trained}, corpus,
-                               epsilon=0.002, iterations=2, large_epsilon=0.2,
-                               batch_size=16, seed=8)
+    checks = measured_masking_checks(trained, {"self": trained}, corpus,
+                                     epsilon=0.002, iterations=2, large_epsilon=0.2,
+                                     batch_size=16, seed=8)
     assert checks.black_box_not_weaker  # source == target -> equality case
-    assert set(checks.evidence) >= {"white_box_pgd", "white_box_fgsm",
-                                    "transfer_pgd", "large_epsilon_accuracy"}
+    assert set(checks.evidence) == {"white_box_pgd", "white_box_fgsm", "transfer_pgd",
+                                    "large_epsilon_accuracy", "tolerance_points"}
 
 
 def test_scrambled_gradients_fail_the_iterative_check(corpus, trained):
     # the control leaves forward values intact but randomizes the waveform
     # adjoint; one-step attacks then beat iterative ones
     scrambled = scrambled_gradient_forward(trained, scramble_seed=5)
-    checks = ev.masking_checks(trained, {}, corpus, epsilon=0.05, iterations=10,
-                               batch_size=16, seed=9, split="all", attacker=scrambled)
+    checks = measured_masking_checks(trained, {}, corpus, epsilon=0.05, iterations=10,
+                                     batch_size=16, seed=9, split="all", attacker=scrambled)
     assert not checks.iterative_at_least_one_step
-    healthy = ev.masking_checks(trained, {}, corpus, epsilon=0.05, iterations=10,
-                                batch_size=16, seed=9, split="all")
+    healthy = measured_masking_checks(trained, {}, corpus, epsilon=0.05, iterations=10,
+                                      batch_size=16, seed=9, split="all")
     assert healthy.iterative_at_least_one_step
+
+
+@pytest.mark.parametrize("transfer, fgsm, large, failed", [
+    ({"src": 48.0}, 48.0, 5.0, None),               # every check on its edge
+    ({"src": 48.0 - 1e-9}, 48.0, 5.0, "black_box_not_weaker"),
+    ({"src": 50.0}, 48.0 - 1e-9, 5.0, "iterative_at_least_one_step"),
+    ({"src": 50.0}, 48.0, 5.0 + 1e-9, "large_budget_breaks_model"),
+    ({}, 48.0, 5.0, None),                          # no transfer source: (a) holds
+])
+def test_masking_verdict_edges(transfer, fgsm, large, failed):
+    # white-box PGD at 50 with the default 2-point tolerance
+    checks = ev.masking_checks(50.0, fgsm, transfer, large)
+    verdicts = {name: getattr(checks, name) for name in (
+        "black_box_not_weaker", "iterative_at_least_one_step", "large_budget_breaks_model")}
+    assert verdicts == {name: name != failed for name in verdicts}
+    assert checks.all_passed() == (failed is None)
+    assert checks.evidence == {"white_box_pgd": 50.0, "white_box_fgsm": fgsm,
+                               "transfer_pgd": transfer, "large_epsilon_accuracy": large,
+                               "tolerance_points": 2.0}
