@@ -193,12 +193,8 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
     logits_clean = forward(Value(x), mode).detach() if needs_clean else None
 
     for t in range(1, spec.iterations + 1):
-        xv = Value(x_adv, requires_grad=True)
-        logits = forward(xv, mode)
-        loss = hybrid_loss(spec.weights, logits, logits_clean, y,
-                           margin=spec.margin, sinkhorn=sinkhorn)
-        ad.backward(loss)
-        x_adv = pgd_step(x_adv, xv.grad, lo, hi, spec.step)
+        x_adv = pgd_step(x_adv, _loss_gradient(forward, x_adv, mode, logits_clean, y, spec,
+                                               sinkhorn), lo, hi, spec.step)
         realized = np.abs(x_adv - x).max()
         if realized > spec.epsilon + 1e-12:
             raise AssertionError(f"ball invariant violated at step {t}: {realized} > {spec.epsilon}")
@@ -207,6 +203,15 @@ def generate(forward: ForwardFn, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
 
     return AdversarialBatch(x_adv=x_adv, linf=float(np.abs(x_adv - x).max()),
                             snr_db=snr_db(x, x_adv))
+
+
+def _loss_gradient(forward: ForwardFn, x_adv: np.ndarray, mode: str, logits_clean: Value | None,
+                   y: np.ndarray, spec: AttackSpec, sinkhorn: SinkhornSettings) -> np.ndarray:
+    """The attack loss's gradient at ``x_adv``; the step's graph dies on return."""
+    xv = Value(x_adv, requires_grad=True)
+    ad.backward(hybrid_loss(spec.weights, forward(xv, mode), logits_clean, y,
+                            margin=spec.margin, sinkhorn=sinkhorn))
+    return xv.grad
 
 
 def model_forward_fn(params) -> ForwardFn:

@@ -432,16 +432,22 @@ def _topo_order(root: Value) -> list[Value]:
 
 
 def backward(loss: Value) -> None:
-    """Populate ``grad`` on every requires_grad node reachable from ``loss``."""
+    """Add d(loss)/d(leaf) to ``grad`` of every leaf reachable from ``loss``.
+
+    An interior node's gradient is dropped once its edges have run. A first
+    contribution ``g`` is stored as ``g + 0.0``, bitwise ``0.0 + g`` into zeros.
+    """
     if loss.data.size != 1:
         raise ShapeError("backward", f"loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
-    for node in order:
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
+    loss.grad = np.ones_like(loss.data) + (0.0 if loss.grad is None else loss.grad)
     for node in reversed(order):
         for parent, vjp in node._edges:
-            parent.grad += vjp(node.grad)
+            if parent.grad is None:  # parent's layout: later adjoints' bits may depend on it
+                parent.grad = np.add(vjp(node.grad), 0.0, out=np.empty_like(parent.data))
+            else:
+                parent.grad += vjp(node.grad)
+        if node._edges:
+            node.grad = None

@@ -65,18 +65,22 @@ def mel_filterbank(config: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """The arrays ``log_mel`` and its adjoint write through ``out=`` for one batch shape.
 
-    ``re`` and ``im`` hold the spectrum of the call that ``stamp`` names.
-    ``frames``, ``power``, ``spare`` and ``g_sin`` are scratch: no value in
-    them outlives the forward or adjoint that wrote it.
+    ``re`` and ``im`` hold the spectrum of the call that ``stamp`` names,
+    until an adjoint overwrites them with its gradients and clears the stamp.
+    Two scratch blocks of rows x max(window_length, bins) are each seen at
+    frame width (``a_frames``, ``b_frames``) and at spectrum width
+    (``a_bins``, ``b_bins``); no value in them outlives the forward or
+    adjoint that wrote it.
     """
 
     def __init__(self, n: int, n_frames: int, config: FrontendConfig):
-        rows, bins = n * n_frames, config.fft_size // 2 + 1
+        rows, bins, w = n * n_frames, config.fft_size // 2 + 1, config.window_length
         self.key = (n, n_frames)
         self.stamp: object | None = None
-        self.frames = np.empty((n, n_frames, config.window_length))
-        self.g_sin = np.empty((rows, config.window_length))
-        self.re, self.im, self.power, self.spare = (np.empty((rows, bins)) for _ in range(4))
+        self.re, self.im = (np.empty((rows, bins)) for _ in range(2))
+        a, b = (np.empty(rows * max(w, bins)) for _ in range(2))
+        self.a_frames, self.b_frames = (s[:rows * w].reshape(rows, w) for s in (a, b))
+        self.a_bins, self.b_bins = (s[:rows * bins].reshape(rows, bins) for s in (a, b))
 
 
 class FrontendOps:
@@ -110,10 +114,9 @@ def _spectrum(signal: np.ndarray, ops: FrontendOps, ws: _Workspace) -> None:
     """Frame, window and DFT (n, T) ``signal`` into ``ws.re`` and ``ws.im``."""
     cfg = ops.config
     np.multiply(ad.frames_view(signal, cfg.window_length, cfg.hop_length), ops.window,
-                out=ws.frames)
-    flat = ws.frames.reshape(-1, cfg.window_length)
-    np.matmul(flat, ops.dft_cos, out=ws.re)
-    np.matmul(flat, ops.dft_sin, out=ws.im)
+                out=ws.a_frames.reshape(*ws.key, cfg.window_length))
+    np.matmul(ws.a_frames, ops.dft_cos, out=ws.re)
+    np.matmul(ws.a_frames, ops.dft_sin, out=ws.im)
 
 
 def log_mel(waveform, ops: FrontendOps) -> Value:
@@ -126,9 +129,10 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
     for bit.
 
     The large intermediates live in ``ops``' workspace, not in the graph.
-    Each call stamps the workspace; an adjoint run after another call
-    overwrote it first recomputes its spectrum from the waveform, which
-    gives the same bits, so any number of calls may share one graph.
+    Each call stamps the workspace, and its adjoint uses the spectrum up.
+    An adjoint that finds another call's stamp, or none, first recomputes
+    its spectrum from the waveform, which gives the same bits, so any
+    number of calls, and of backward passes, may share one graph.
     """
     cfg = ops.config
     x = ad.as_value(waveform)
@@ -142,8 +146,8 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
     ws = ops._workspace_for(n, n_frames)
     _spectrum(signal, ops, ws)
     stamp = ws.stamp = object()
-    power = np.multiply(ws.re, ws.re, out=ws.power)
-    power += np.multiply(ws.im, ws.im, out=ws.spare)
+    power = np.multiply(ws.re, ws.re, out=ws.b_bins)
+    power += np.multiply(ws.im, ws.im, out=ws.a_bins)  # the frames are spent
     mel = power @ ops._fb_t
     clamped = np.clip(mel, cfg.log_floor, None)
     keep = mel > cfg.log_floor
@@ -153,20 +157,20 @@ def log_mel(waveform, ops: FrontendOps) -> Value:
         ws = ops._workspace_for(n, n_frames)
         if ws.stamp is not stamp:
             _spectrum(signal, ops, ws)
-            ws.stamp = stamp
         # the chain's zero-initialised accumulators only flip -0.0 to +0.0,
         # which the zero-initialised overlap-add does as well, so they are
         # left out; every other step repeats the chain's arithmetic
         g = g.transpose(0, 2, 1).reshape(n * n_frames, cfg.mel_bins)
-        g_power = np.matmul((g / clamped) * keep, ops._fb_t.T, out=ws.power)
+        g_power = np.matmul((g / clamped) * keep, ops._fb_t.T, out=ws.b_bins)
         # the chain doubles g*re and g*im; doubling g first is exact, so the
         # products match it bit for bit (outside the subnormal range)
         g_power += g_power
-        g_re = np.multiply(g_power, ws.re, out=ws.spare)
-        g_im = np.multiply(g_power, ws.im, out=g_power)
-        g_frames = ws.frames.reshape(n * n_frames, cfg.window_length)
-        np.matmul(g_re, ops.dft_cos.T, out=g_frames)
-        g_frames += np.matmul(g_im, ops.dft_sin.T, out=ws.g_sin)
+        # the gradients overwrite the spectrum, so a later adjoint recomputes it
+        g_re = np.multiply(g_power, ws.re, out=ws.re)
+        g_im = np.multiply(g_power, ws.im, out=ws.im)
+        ws.stamp = None
+        g_frames = np.matmul(g_re, ops.dft_cos.T, out=ws.a_frames)
+        g_frames += np.matmul(g_im, ops.dft_sin.T, out=ws.b_frames)
         g_frames *= ops.window
         g_frames = g_frames.reshape(n, n_frames, cfg.window_length)
         return ad.overlap_add(g_frames, t, cfg.hop_length).reshape(x.shape)

@@ -129,62 +129,67 @@ def train_epoch(params: ModelParams, velocity: dict[str, np.ndarray],
     velocity_snapshot = {k: v.copy() for k, v in velocity.items()}
     started = time.perf_counter()
 
-    clean_losses, adv_losses = [], []
-    correct = total = 0
     try:
         batches = batch_iter(corpus, config.batch_size, config.segment_length,
                              seed=seed, epoch=epoch, split="train", train=True)
-        for batch_index, (x, y) in enumerate(batches):
-            if spec is not None:
-                adv = generate(model_forward_fn(params), x, y, spec,
-                               mode="attack", seed=_batch_seed(seed, epoch, batch_index),
-                               sinkhorn=config.sinkhorn)
-                assert adv.linf <= spec.epsilon + 1e-12
-                x_adv = adv.x_adv
-            else:
-                x_adv = None
-
-            param_values = params.trainable_values()
-            logits_clean = forward_logits(params, Value(x), mode="train",
-                                          param_values=param_values)
-            loss_clean = ce_loss(logits_clean, y)
-            if x_adv is not None:
-                logits_adv = forward_logits(params, Value(x_adv), mode="train",
-                                            param_values=param_values)
-                loss_adv = ce_loss(logits_adv, y)
-                loss = config.w1 * loss_clean + config.w2 * loss_adv
-                adv_losses.append(float(loss_adv.data))
-            else:
-                loss = loss_clean
-            if not np.isfinite(loss.data).all():
-                raise NonFiniteError(f"non-finite loss in epoch {epoch}, batch {batch_index}")
-            ad.backward(loss)
-
-            grads = {name: pv.grad for name, pv in param_values.items()}
-            params.arrays, new_velocity = sgd_momentum_update(
-                params.arrays, grads, velocity, lr, config.momentum)
-            velocity.clear()
-            velocity.update(new_velocity)
-
-            clean_losses.append(float(loss_clean.data))
-            preds = np.argmax(logits_clean.data, axis=1)
-            correct += int((preds == y).sum())
-            total += len(y)
+        stats = [_train_batch(params, velocity, x, y, config, spec, lr,
+                              attack_seed=_batch_seed(seed, epoch, index),
+                              where=f"epoch {epoch}, batch {index}")
+                 for index, (x, y) in enumerate(batches)]
     except NonFiniteError:
         params.restore_state(snapshot)
         velocity.clear()
         velocity.update(velocity_snapshot)
         raise
 
+    clean_losses, adv_losses, correct, sizes = zip(*stats)
     return EpochRecord(
         epoch=epoch, lr=lr, clean_loss=float(np.mean(clean_losses)),
-        adv_loss=float(np.mean(adv_losses)) if adv_losses else None,
-        train_accuracy=100.0 * correct / total,
+        adv_loss=float(np.mean(adv_losses)) if spec else None,
+        train_accuracy=100.0 * sum(correct) / sum(sizes),
         wall_time_s=time.perf_counter() - started,
         defense=config.defense,
         attack_weights=spec.weights.as_tuple() if spec else None,
         epsilon=spec.epsilon if spec else None,
     )
+
+
+def _train_batch(params: ModelParams, velocity: dict[str, np.ndarray], x: np.ndarray,
+                 y: np.ndarray, config: TrainConfig, spec: AttackSpec | None, lr: float, *,
+                 attack_seed, where: str) -> tuple[float, float | None, int, int]:
+    """Attack the batch (if ``spec``), then one SGD momentum step on the weighted loss.
+
+    Returns (clean loss, adversarial loss or None, correct predictions, batch
+    size); the batch's graphs and parameter ``Value``s die on return.
+    """
+    x_adv = None
+    if spec is not None:
+        adv = generate(model_forward_fn(params), x, y, spec, mode="attack", seed=attack_seed,
+                       sinkhorn=config.sinkhorn)
+        assert adv.linf <= spec.epsilon + 1e-12
+        x_adv = adv.x_adv
+
+    param_values = params.trainable_values()
+    logits_clean = forward_logits(params, Value(x), mode="train", param_values=param_values)
+    loss_clean = ce_loss(logits_clean, y)
+    loss, adv_loss = loss_clean, None
+    if x_adv is not None:
+        logits_adv = forward_logits(params, Value(x_adv), mode="train",
+                                    param_values=param_values)
+        loss_adv = ce_loss(logits_adv, y)
+        loss = config.w1 * loss_clean + config.w2 * loss_adv
+        adv_loss = float(loss_adv.data)
+    if not np.isfinite(loss.data).all():
+        raise NonFiniteError(f"non-finite loss in {where}")
+    ad.backward(loss)
+
+    grads = {name: pv.grad for name, pv in param_values.items()}
+    params.arrays, new_velocity = sgd_momentum_update(
+        params.arrays, grads, velocity, lr, config.momentum)
+    velocity.clear()
+    velocity.update(new_velocity)
+    preds = np.argmax(logits_clean.data, axis=1)
+    return float(loss_clean.data), adv_loss, int((preds == y).sum()), len(y)
 
 
 def _batch_seed(seed: int, epoch: int, batch_index: int) -> tuple[int, int, int, int]:

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_generate_every_iterate_inside_ball_and_range():
     for _, linf, peak in seen:
         assert linf <= 0.002 + 1e-12
         assert peak <= 1.0
+
+
+def test_generate_frees_each_step_graph_before_the_next_forward():
+    # a step's input array outlives its step only while that step's graph does
+    model_forward = micro_forward(4)
+    inputs = []
+
+    def forward(xv, mode):
+        if xv.requires_grad:
+            assert all(ref() is None for ref in inputs), "an earlier step's graph is alive"
+            inputs.append(weakref.ref(xv.data))
+        return model_forward(xv, mode)
+
+    x = 0.2 * np.random.default_rng(7).normal(size=(2, 112))
+    atk.generate(forward, x, np.array([0, 2]), atk.hybrid_spec(0.002, iterations=3), seed=1)
+    assert len(inputs) == 3
 
 
 def test_generate_deterministic_for_fixed_seed():

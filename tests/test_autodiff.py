@@ -262,6 +262,25 @@ def test_backward_populates_all_reachable_leaves():
     assert x.grad.shape == x.data.shape and y.grad.shape == y.data.shape
 
 
+def test_a_second_backward_accumulates_into_the_leaves_only():
+    x = ad.Value([1.0], requires_grad=True)
+    doubled = x * 2.0
+    loss = doubled.sum()
+    ad.backward(loss)
+    assert np.array_equal(x.grad, [2.0])
+    assert doubled.grad is None and loss.grad is None  # interior gradients are dropped
+    ad.backward(loss)
+    assert np.array_equal(x.grad, [4.0])
+
+
+def test_a_first_contribution_of_minus_zero_is_stored_as_plus_zero():
+    # a zero-filled gradient plus -0.0 reads +0.0; the first write keeps that
+    x = ad.Value([1.0, 2.0], requires_grad=True)
+    out = ad._node(x.data.copy(), "probe", (x, lambda g: -0.0 * g))
+    ad.backward(ad.reduce_sum(out))
+    assert x.grad.tobytes() == np.zeros(2).tobytes()
+
+
 def overlap_add_per_offset(frames, length, hop_length):
     """Each window offset of each frame added on its own, offsets in increasing order."""
     n, n_frames, window_length = frames.shape

@@ -118,7 +118,9 @@ def _features_and_gradient(fn, x, ops, weights):
     (MICRO, (2, 112)),
     (MICRO, (97,)),
     (FrontendConfig(fft_size=511, hop_length=150), (4, 8000)),
-], ids=["desk", "default", "paper-length", "micro", "micro-1d", "fft511-hop150"])
+    (FrontendConfig(window_length=100, hop_length=50, fft_size=512), (4, 4000)),
+], ids=["desk", "default", "paper-length", "micro", "micro-1d", "fft511-hop150",
+        "window100-fft512"])
 def test_fused_log_mel_is_bit_identical_to_the_primitive_chain(config, shape):
     ops = FrontendOps(config)
     rng = np.random.default_rng(8)
@@ -186,6 +188,31 @@ def test_batch_shapes_32_8_32_in_one_graph_match_separate_graphs_with_one_worksp
     ad.backward(loss)
     for xv, out in zip(values, features):
         _assert_as_fresh(xv, out, weights[:len(out.data)])
+
+
+@pytest.mark.parametrize("config, shape", [(DESK, (32, 8000)), (FrontendConfig(), (8, 48000))],
+                         ids=["desk", "paper"])
+def test_workspace_is_four_blocks(config, shape):
+    ops = FrontendOps(config)
+    n_frames = (shape[1] - config.window_length) // config.hop_length + 1
+    ws = ops._workspace_for(shape[0], n_frames)
+    rows, bins = shape[0] * n_frames, config.fft_size // 2 + 1
+    arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    owners = {id(a): a for a in (b if b.base is None else b.base for b in arrays)}
+    assert sum(a.nbytes for a in owners.values()) == (
+        8 * (2 * rows * bins + 2 * rows * max(config.window_length, bins)))
+
+
+def test_two_backward_passes_through_one_log_mel_give_twice_the_gradient():
+    ops = FrontendOps(DESK)
+    (x,) = _waves(20, 32)
+    xv = ad.Value(x, requires_grad=True)
+    weights = np.random.default_rng(21).normal(size=(32, DESK.mel_bins, 7))
+    loss = (log_mel(xv, ops) * ad.Value(weights)).sum()
+    ad.backward(loss)
+    once = xv.grad.copy()
+    ad.backward(loss)
+    assert xv.grad.tobytes() == (2.0 * once).tobytes()
 
 
 def test_log_mel_is_one_graph_node():

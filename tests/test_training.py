@@ -1,6 +1,7 @@
 """Training loop tests on a micro synthetic setup."""
 
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,31 @@ def test_epoch_aborts_atomically_on_non_finite_loss(micro_corpus, monkeypatch):
     for name in before[1]:
         assert np.array_equal(before[1][name], after_running[name])
     assert velocity == {}
+
+
+def test_each_batch_frees_its_parameter_values_before_the_next_attack(micro_corpus,
+                                                                     monkeypatch):
+    # the SGD step replaces every parameter array, so the old ones outlive
+    # their batch only while its graph and parameter values do
+    params = mdl.build(MICRO_CNN, MICRO_FE, seed=9)
+    parameter_values, attacks_started = [], []
+    real_forward, real_generate = tr.forward_logits, tr.generate
+
+    def forward(params, x, mode="eval", param_values=None):
+        if param_values is not None:
+            parameter_values.extend(weakref.ref(v.data) for v in param_values.values())
+        return real_forward(params, x, mode=mode, param_values=param_values)
+
+    def generate(*args, **kwargs):
+        assert all(ref() is None for ref in parameter_values), "a batch's graph is alive"
+        attacks_started.append(len(parameter_values))
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_logits", forward)
+    monkeypatch.setattr(tr, "generate", generate)
+    tr.train_epoch(params, {}, micro_corpus, micro_train_config("hat", epochs=1),
+                   epoch=1, seed=3)
+    assert len(attacks_started) >= 2 and attacks_started[-1] > 0
 
 
 def test_training_attack_respects_ball(micro_corpus):
